@@ -1,12 +1,14 @@
-"""The protocol as four OS processes: a state-holding coordinator plus
-Alice, Bob and Charlie clients.
+"""The protocol as four OS processes: a coordinator that drives the protocol
+engine, plus Alice, Bob and Charlie clients.
 
 Amplitudes cannot be physically distributed in a classical simulation, so
-the coordinator holds the only StateVector and parties act on it through
-OpRequests. Locality is preserved operationally: an ownership table says who
-may touch which qubit, measurement results go only to the requesting party,
-and classical messages are relayed (star topology) through the coordinator,
-which also writes the single ordered transcript.
+the coordinator holds the only session register and parties act on it
+through OpRequests, each of which the coordinator turns into one move of
+:mod:`ghztp.protocol`, the same moves the in-process run makes. Locality is
+preserved operationally: an ownership table says who may touch which qubit,
+measurement results go only to the requesting party, and classical messages
+are relayed (star topology) through the coordinator, which also writes the
+single ordered transcript from the session's trace.
 
 Randomness lives only in the coordinator, which consumes its seeded PRNG in
 the same order as the in-process run (Bell draw, then Charlie draw), so for
@@ -16,6 +18,7 @@ outcomes, probabilities and final fidelity.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import socketserver
 import subprocess
@@ -27,44 +30,36 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .qsim import (
-    NAMED_UNITARIES,
-    PLUS_MINUS,
-    BellOutcome,
-    CharlieOutcome,
-    SeededSelector,
-    StateVector,
-    ValidationError,
-    apply_single,
-    fidelity_pure,
-    measure_bell,
-    measure_in_basis,
-    partial_trace,
-    pure_state_from_density,
-    tensor,
-)
+from .qsim import NAMED_UNITARIES, BellOutcome, CharlieOutcome, SeededSelector, ValidationError
 from .protocol import (
     BELL_CORRECTION_TABLE,
     CHARLIE_CORRECTION_TABLE,
+    QUBIT_A,
+    QUBIT_D,
     BellMeasured,
     BobCorrected,
     CharlieMeasured,
     ClassicalMessage,
     CorrectionApplied,
     Finished,
-    GhzPrepared,
     Phase,
+    PhaseError,
     ProtocolResult,
     Role,
+    SessionRegister,
     SignalPrepared,
     SignalState,
     TraceEvent,
     _parse_payload,
+    basis_measure,
+    bell_measure,
+    bob_finish,
+    compose_session,
+    correct,
     event_line,
     parse_event_line,
-    prepare_ghz,
-    prepare_signal,
     run_protocol,
+    send,
     trace_order_errors,
 )
 from .wire import (
@@ -177,12 +172,20 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
-class Coordinator:
-    """Holds the only quantum state and serializes every operation on it.
+def _measured(op: str, event) -> dict:
+    """The OpResult of a measurement: its outcome and Born probability."""
+    return {"op": op, "outcome": event.outcome.value, "probability": event.probability}
 
-    All substrate mutations, phase changes and transcript writes happen under
-    one lock, so the transcript is a total order consistent with each
-    connection's send order.
+
+class Coordinator:
+    """Drives one SessionRegister for three remote parties.
+
+    The protocol engine (:mod:`ghztp.protocol`) makes every change to the
+    session's state, phase and trace; the coordinator adds what the network
+    needs: locality, who may make which move, the wait for outstanding Bell
+    corrections before Charlie measures, relaying, and the transcript. Every
+    move and transcript write happens under one lock, so the transcript is a
+    total order consistent with each connection's send order.
     """
 
     def __init__(
@@ -192,26 +195,20 @@ class Coordinator:
         transcript_path,
         host: str = "127.0.0.1",
         port: int = 0,
-        ownership: OwnershipTable | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
         self.signal = signal
-        self.seed = seed
         self.session_id = uuid.uuid4().hex[:12]
-        self.ownership = ownership or default_ownership()
+        self.ownership = default_ownership()
         self.timeout = timeout
         self.transcript_path = Path(transcript_path)
 
         self._selector = SeededSelector(seed)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
-        self._state: StateVector | None = None
-        self._phase: Phase | None = None  # None until prepared
+        self._session: SessionRegister | None = None  # None until prepared
+        self._written = 0  # trace events already in the transcript
         self._streams: dict[Role, MessageStream] = {}
-        self._pending: dict[tuple[Role, str], str] = {}
-        self._bell_outcome: BellOutcome | None = None
-        self._charlie_outcome: CharlieOutcome | None = None
-        self._msg_seq = 1
         self._finished: set[Role] = set()
         self._done = threading.Event()
 
@@ -251,27 +248,37 @@ class Coordinator:
         finally:
             self.shutdown()
 
-    def __enter__(self) -> "Coordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
     def state_fingerprint(self) -> int | None:
         """Hash of the exact amplitude bits; None before preparation."""
         with self._lock:
-            return None if self._state is None else hash(self._state)
+            return None if self._session is None else hash(self._session.state)
 
-    # -- transcript helpers (call with lock held) ---------------------------
+    # -- moves and the transcript -------------------------------------------
 
     def _meta(self, text: str) -> None:
         if not self._transcript.closed:
             self._transcript.write(f"# {text}\n")
 
-    def _event(self, event: TraceEvent) -> None:
-        if not self._transcript.closed:
-            self._transcript.write(event_line(event) + "\n")
+    @contextlib.contextmanager
+    def _move(self):
+        """Hold the lock for one move, refusing it with ERR_PHASE where the
+        engine does, then write the trace events it added and wake waiters."""
+        with self._lock:
+            try:
+                yield
+            except PhaseError as exc:
+                raise _SessionError(ERR_PHASE, str(exc)) from None
+            finally:
+                if self._session is not None and not self._transcript.closed:
+                    for event in self._session.trace.events[self._written:]:
+                        self._transcript.write(event_line(event) + "\n")
+                    self._written = len(self._session.trace.events)
+                self._settled.notify_all()
+
+    def _prepared(self) -> SessionRegister:
+        if self._session is None:
+            raise _SessionError(ERR_PHASE, "session not prepared")
+        return self._session
 
     # -- message handlers ----------------------------------------------------
 
@@ -307,8 +314,12 @@ class Coordinator:
         with self._lock:
             self._finished.add(role)
             self._meta(f"finish role={role.value}")
-            if self._phase is Phase.DONE and self._finished == set(Role):
-                self._done.set()
+            self._check_done()
+
+    def _check_done(self) -> None:
+        session = self._session
+        if session is not None and session.phase is Phase.DONE and self._finished == set(Role):
+            self._done.set()
 
     def classical(self, role: Role, body: dict) -> None:
         try:
@@ -316,22 +327,8 @@ class Coordinator:
             payload = _parse_payload(body["payload"])
         except (KeyError, ValueError, TypeError):
             raise _SessionError(ERR_FRAME, f"malformed Classical body {body!r}")
-        with self._lock:
-            if role is Role.ALICE:
-                expected = self._bell_outcome
-                expected_recipients = frozenset({Role.BOB, Role.CHARLIE})
-            elif role is Role.CHARLIE:
-                expected = self._charlie_outcome
-                expected_recipients = frozenset({Role.BOB})
-            else:
-                raise _SessionError(ERR_PHASE, "bob has nothing to send")
-            if expected is None or payload is not expected:
-                raise _SessionError(ERR_PHASE, f"{role.value} cannot send {payload} now")
-            if recipients != expected_recipients:
-                raise _SessionError(ERR_PHASE, f"wrong recipients {sorted(r.value for r in recipients)}")
-            message = ClassicalMessage(self._msg_seq, role, recipients, payload)
-            self._msg_seq += 1
-            self._event(message)
+        with self._move():
+            message = send(self._prepared(), role, recipients, payload)
             for recipient in sorted(recipients, key=lambda r: r.value):
                 target = self._streams.get(recipient)
                 if target is not None:
@@ -354,10 +351,11 @@ class Coordinator:
             "basis_measure": self._op_basis_measure,
             "fetch_bob_state": self._op_fetch_bob_state,
         }
-        if op not in handlers:
+        handler = handlers.get(op) if isinstance(op, str) else None
+        if handler is None:
             raise _SessionError(ERR_FRAME, f"unknown op {op!r}")
-        with self._lock:
-            result = handlers[op](role, body)
+        with self._move():
+            result = handler(role, body)
             # Reply while still holding the lock. A correction op wakes the
             # blocked Charlie handler, and Charlie's Classical relay must not
             # reach the correcting party before this OpResult does.
@@ -383,93 +381,46 @@ class Coordinator:
             raise _SessionError(ERR_PHASE, "prepare is Alice's move")
         if len(self._streams) < len(Role):
             raise _SessionError(ERR_PHASE, "session not ready: parties missing")
-        if self._state is not None:
+        if self._session is not None:
             raise _SessionError(ERR_PHASE, "already prepared")
-        self._state = tensor(prepare_signal(self.signal), prepare_ghz())
-        self._phase = Phase.INIT
-        self._event(GhzPrepared())
-        self._event(SignalPrepared())
+        self._session = compose_session(self.signal)
         return {"op": "prepare", "ok": True}
 
     def _op_bell_measure(self, role: Role, body: dict) -> dict:
         qubits = self._require_qubits(role, body.get("qubits", ()))
-        if self._phase is not Phase.INIT:
-            raise _SessionError(ERR_PHASE, "bell_measure fits only the prepared, unmeasured state")
-        if qubits != [0, 1]:
+        if qubits != [QUBIT_D, QUBIT_A]:
             raise _SessionError(ERR_PHASE, f"bell_measure covers the (D, A) pair, got {qubits}")
-        outcome, probability, post = measure_bell(self._state, 0, 1, self._selector)
-        self._state = post
-        self._phase = Phase.BELL_MEASURED
-        self._bell_outcome = outcome
-        u_bob, u_charlie = BELL_CORRECTION_TABLE[outcome]
-        if not u_bob.is_identity():
-            self._pending[(Role.BOB, "bell")] = u_bob.name
-        if not u_charlie.is_identity():
-            self._pending[(Role.CHARLIE, "bell")] = u_charlie.name
-        self._event(BellMeasured(outcome, probability))
-        self._settled.notify_all()
-        return {"op": "bell_measure", "outcome": outcome.value, "probability": probability}
+        return _measured("bell_measure", bell_measure(self._prepared(), self._selector))
 
     def _op_apply_correction(self, role: Role, body: dict) -> dict:
         (qubit,) = self._require_qubits(role, [body.get("qubit")])
         name = body.get("unitary")
-        bell_key, final_key = (role, "bell"), (role, "final")
-        if self._pending.get(bell_key) == name:
-            kind_key, event = bell_key, CorrectionApplied(role, name)
-        elif self._pending.get(final_key) == name:
-            kind_key, event = final_key, BobCorrected(name)
-        else:
-            raise _SessionError(ERR_PHASE, f"no correction {name!r} due for {role.value}")
-        self._state = apply_single(self._state, qubit, NAMED_UNITARIES[name])
-        del self._pending[kind_key]
-        self._event(event)
-        self._settled.notify_all()
+        unitary = NAMED_UNITARIES.get(name) if isinstance(name, str) else None
+        # Identity corrections never cross the wire: parties skip them.
+        if unitary is None or unitary.is_identity():
+            raise _SessionError(ERR_PHASE, f"no correction {name!r} is ever requested")
+        correct(self._prepared(), role, unitary)
         return {"op": "apply_correction", "applied": name, "qubit": qubit}
 
     def _op_basis_measure(self, role: Role, body: dict) -> dict:
-        (qubit,) = self._require_qubits(role, [body.get("qubit")])
+        self._require_qubits(role, [body.get("qubit")])
         if body.get("basis") != "plus_minus":
             raise _SessionError(ERR_PHASE, f"unsupported basis {body.get('basis')!r}")
-        if role is not Role.CHARLIE or qubit != 3:
-            raise _SessionError(ERR_PHASE, "basis_measure is Charlie's move on qubit C")
-        if self._phase is not Phase.BELL_MEASURED:
-            raise _SessionError(ERR_PHASE, "basis_measure fits only the corrected state")
+        if role is not Role.CHARLIE:
+            raise _SessionError(ERR_PHASE, "basis_measure is Charlie's move")
+        session = self._prepared()
         # Wait for outstanding Bell corrections so the measurement happens on
-        # exactly the state the in-process run measures (bitwise).
-        settled = self._settled.wait_for(
-            lambda: not any(k[1] == "bell" for k in self._pending), timeout=self.timeout
-        )
-        if not settled:
-            raise _SessionError(ERR_PHASE, "bell corrections still outstanding")
-        if self._phase is not Phase.BELL_MEASURED:
-            raise _SessionError(ERR_PHASE, "state changed while waiting")
-        k, probability, post = measure_in_basis(self._state, qubit, PLUS_MINUS, self._selector)
-        outcome = list(CharlieOutcome)[k]
-        self._state = post
-        self._phase = Phase.CHARLIE_MEASURED
-        self._charlie_outcome = outcome
-        u_final = CHARLIE_CORRECTION_TABLE[outcome]
-        if not u_final.is_identity():
-            self._pending[(Role.BOB, "final")] = u_final.name
-        self._event(CharlieMeasured(outcome, probability))
-        self._settled.notify_all()
-        return {"op": "basis_measure", "outcome": outcome.value, "probability": probability}
+        # exactly the state the in-process run measures (bitwise); on timeout
+        # the engine refuses the measurement.
+        self._settled.wait_for(lambda: session.phase is not Phase.BELL_MEASURED, self.timeout)
+        return _measured("basis_measure", basis_measure(session, self._selector))
 
     def _op_fetch_bob_state(self, role: Role, body: dict) -> dict:
-        (qubit,) = self._require_qubits(role, [body.get("qubit")])
-        if role is not Role.BOB or qubit != 2:
-            raise _SessionError(ERR_PHASE, "fetch_bob_state is Bob's move on qubit B")
-        if self._phase is not Phase.CHARLIE_MEASURED:
-            raise _SessionError(ERR_PHASE, "fetch_bob_state fits only the measured state")
-        if self._pending:
-            raise _SessionError(ERR_PHASE, "corrections still outstanding")
-        rho = partial_trace(self._state, [qubit])
-        bob_state = pure_state_from_density(rho)
-        fidelity = fidelity_pure(rho, prepare_signal(self.signal))
-        self._phase = Phase.DONE
-        self._event(Finished(fidelity))
-        if self._finished == set(Role):
-            self._done.set()
+        self._require_qubits(role, [body.get("qubit")])
+        if role is not Role.BOB:
+            raise _SessionError(ERR_PHASE, "fetch_bob_state is Bob's move")
+        bob_state, fidelity = bob_finish(self._prepared())
+        self._check_done()
         return {
             "op": "fetch_bob_state",
             "amplitudes": [[a.real, a.imag] for a in bob_state.amplitudes],

@@ -24,12 +24,11 @@ from typing import Union
 import numpy as np
 
 from .qsim import (
-    CNOT,
-    HADAMARD,
     IDENTITY,
     PAULI_X,
     PAULI_Z,
     PLUS_MINUS,
+    SQRT_HALF,
     ZX,
     BellOutcome,
     CharlieOutcome,
@@ -41,11 +40,9 @@ from .qsim import (
     Unitary2x2,
     ValidationError,
     apply_single,
-    apply_two,
     fidelity_pure,
     measure_bell,
     measure_in_basis,
-    new_basis_state,
     partial_trace,
     pure_state_from_density,
     tensor,
@@ -72,7 +69,12 @@ class Phase(Enum):
 
 # Qubit index of each role label in the 4-qubit session register.
 QUBIT_D, QUBIT_A, QUBIT_B, QUBIT_C = 0, 1, 2, 3
-DEFAULT_ROLE_MAP = {"D": QUBIT_D, "A": QUBIT_A, "B": QUBIT_B, "C": QUBIT_C}
+
+# The qubit each correcting role acts on, Bob first.
+CORRECTION_QUBIT = {Role.BOB: QUBIT_B, Role.CHARLIE: QUBIT_C}
+
+# Who hears each measuring role's outcome.
+RECIPIENTS = {Role.ALICE: frozenset({Role.BOB, Role.CHARLIE}), Role.CHARLIE: frozenset({Role.BOB})}
 
 # Outcome -> (correction on B, correction on C), applied after Alice's broadcast.
 BELL_CORRECTION_TABLE: dict[BellOutcome, tuple[Unitary2x2, Unitary2x2]] = {
@@ -335,47 +337,48 @@ def trace_order_errors(events: list[TraceEvent]) -> list[str]:
 
 
 # --- session -----------------------------------------------------------------
+#
+# Each party's move is one function below, and these functions are the only
+# code that changes a session's state, phase or trace. The in-process run and
+# the networked coordinator both drive a session through them.
 
 
 @dataclass
 class SessionRegister:
-    """One protocol run: the 4-qubit register, its phase, and its trace."""
+    """One protocol run: the 4-qubit register, its phase and trace, the
+    outcomes measured so far and the corrections each role still owes.
 
+    An owed identity changes nothing, so it never holds the session back:
+    the in-process run makes it and logs it, a networked party skips it.
+    """
+
+    signal: SignalState
     state: StateVector
-    role_map: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ROLE_MAP))
     phase: Phase = Phase.INIT
     trace: ProtocolTrace = field(default_factory=ProtocolTrace)
-    next_seq: int = 1
-
-    def __post_init__(self):
-        if sorted(self.role_map) != ["A", "B", "C", "D"] or sorted(
-            self.role_map.values()
-        ) != [0, 1, 2, 3]:
-            raise ValidationError(f"role_map must map D,A,B,C onto 0..3, got {self.role_map}")
+    outcomes: dict[Role, Union[BellOutcome, CharlieOutcome]] = field(default_factory=dict)
+    owed: dict[Role, Unitary2x2] = field(default_factory=dict)
 
     def _require_phase(self, expected: Phase, op: str) -> None:
         if self.phase is not expected:
             raise PhaseError(f"{op} requires phase {expected.value}, session is {self.phase.value}")
 
-    def _emit_message(self, sender: Role, recipients: frozenset[Role], payload) -> ClassicalMessage:
-        msg = ClassicalMessage(self.next_seq, sender, recipients, payload)
-        self.next_seq += 1
-        self.trace.events.append(msg)
-        return msg
+    @property
+    def settled(self) -> bool:
+        """True when nothing but identities is owed."""
+        return all(u.is_identity() for u in self.owed.values())
 
 
 @functools.cache
 def prepare_ghz() -> StateVector:
-    """(|000> + |111>)/sqrt(2) built as H on the first qubit, then two CNOTs.
+    """(|000> + |111>)/sqrt(2).
 
     The state is a session-independent constant and StateVector is immutable,
     so the one instance is shared by every run.
     """
-    s = new_basis_state(3, 0)
-    s = apply_single(s, 0, HADAMARD)
-    s = apply_two(s, 0, 1, CNOT)
-    s = apply_two(s, 0, 2, CNOT)
-    return s
+    amplitudes = np.zeros(8, dtype=np.complex128)
+    amplitudes[0] = amplitudes[7] = SQRT_HALF
+    return StateVector._wrap(3, amplitudes)
 
 
 @functools.lru_cache(maxsize=256)
@@ -386,64 +389,118 @@ def prepare_signal(s: SignalState) -> StateVector:
 
 def compose_session(signal: SignalState) -> SessionRegister:
     """Signal ⊗ GHZ as one 4-qubit register with roles D, A, B, C at 0..3."""
-    ghz = prepare_ghz()
-    sig = prepare_signal(signal)
-    session = SessionRegister(state=tensor(sig, ghz))
+    session = SessionRegister(signal, tensor(prepare_signal(signal), prepare_ghz()))
     session.trace.events.append(GhzPrepared())
     session.trace.events.append(SignalPrepared())
     return session
+
+
+def bell_measure(session: SessionRegister, selector: OutcomeSelector) -> BellMeasured:
+    """Alice's Bell measurement of (D, A); Bob and Charlie then owe their corrections."""
+    session._require_phase(Phase.INIT, "alice_bell_measure")
+    outcome, probability, post = measure_bell(session.state, QUBIT_D, QUBIT_A, selector)
+    event = BellMeasured(outcome, probability)
+    session.state = post
+    session.outcomes[Role.ALICE] = outcome
+    session.owed = dict(zip(CORRECTION_QUBIT, BELL_CORRECTION_TABLE[outcome]))
+    session.phase = Phase.CORRECTED if session.settled else Phase.BELL_MEASURED
+    session.trace.events.append(event)
+    return event
+
+
+def send(
+    session: SessionRegister, sender: Role, recipients: frozenset[Role], payload
+) -> ClassicalMessage:
+    """Alice's broadcast or Charlie's message: the sender's outcome, sent once,
+    to the roles whose correction depends on it."""
+    if (
+        session.outcomes.get(sender) is not payload
+        or recipients != RECIPIENTS[sender]
+        or any(m.sender is sender for m in session.trace.messages())
+    ):
+        heard = ",".join(sorted(r.value for r in recipients))
+        raise PhaseError(f"{sender.value} cannot send {payload} to {heard} now")
+    message = ClassicalMessage(len(session.trace.messages()) + 1, sender, recipients, payload)
+    session.trace.events.append(message)
+    return message
+
+
+def correct(session: SessionRegister, role: Role, unitary: Unitary2x2) -> None:
+    """One role's correction: Bob's or Charlie's Bell correction, or Bob's final one.
+
+    Refused unless it is the correction the role owes right now.
+    """
+    if session.owed.get(role) is not unitary:
+        raise PhaseError(f"no correction {unitary.name} due for {role.value}")
+    session.state = apply_single(session.state, CORRECTION_QUBIT[role], unitary)
+    del session.owed[role]
+    if session.phase is Phase.CHARLIE_MEASURED:
+        session.trace.events.append(BobCorrected(unitary.name))
+    else:
+        session.trace.events.append(CorrectionApplied(role, unitary.name))
+        if session.settled:
+            session.phase = Phase.CORRECTED
+
+
+def basis_measure(session: SessionRegister, selector: OutcomeSelector) -> CharlieMeasured:
+    """Charlie's (|0> ± |1>)/sqrt(2) measurement of C; Bob then owes his final correction."""
+    session._require_phase(Phase.CORRECTED, "charlie_measure")
+    k, probability, post = measure_in_basis(session.state, QUBIT_C, PLUS_MINUS, selector)
+    event = CharlieMeasured(list(CharlieOutcome)[k], probability)
+    session.state = post
+    session.phase = Phase.CHARLIE_MEASURED
+    session.outcomes[Role.CHARLIE] = event.outcome
+    session.owed = {Role.BOB: CHARLIE_CORRECTION_TABLE[event.outcome]}
+    session.trace.events.append(event)
+    return event
+
+
+def bob_finish(session: SessionRegister) -> tuple[StateVector, float]:
+    """Bob's recovered qubit and its fidelity to the signal; ends the session."""
+    session._require_phase(Phase.CHARLIE_MEASURED, "bob_finish")
+    if not session.settled:
+        raise PhaseError("bob_finish requires Bob's final correction")
+    # One partial trace of B per result, as run_protocol has always made:
+    # bench/ pins the kernel calls of a run (qsim.calls_per_session).
+    bob_state = pure_state_from_density(partial_trace(session.state, [QUBIT_B]))
+    signal = prepare_signal(session.signal)
+    fidelity = fidelity_pure(partial_trace(session.state, [QUBIT_B]), signal)
+    session.owed = {}
+    session.phase = Phase.DONE
+    session.trace.events.append(Finished(fidelity))
+    return bob_state, fidelity
+
+
+# --- the in-process run: each party makes its moves in turn --------------------
 
 
 def alice_bell_measure(
     session: SessionRegister, selector: OutcomeSelector
 ) -> tuple[BellOutcome, ClassicalMessage]:
     """Alice's Bell measurement of (D, A), broadcast to Bob and Charlie."""
-    session._require_phase(Phase.INIT, "alice_bell_measure")
-    outcome, probability, post = measure_bell(
-        session.state, session.role_map["D"], session.role_map["A"], selector
-    )
-    session.state = post
-    session.phase = Phase.BELL_MEASURED
-    session.trace.events.append(BellMeasured(outcome, probability))
-    msg = session._emit_message(Role.ALICE, frozenset({Role.BOB, Role.CHARLIE}), outcome)
-    return outcome, msg
+    outcome = bell_measure(session, selector).outcome
+    return outcome, send(session, Role.ALICE, RECIPIENTS[Role.ALICE], outcome)
 
 
 def apply_bell_correction(session: SessionRegister, outcome: BellOutcome) -> None:
     """Bob's and Charlie's local corrections, restoring BC to alpha|00> + beta|11>."""
-    session._require_phase(Phase.BELL_MEASURED, "apply_bell_correction")
-    u_b, u_c = BELL_CORRECTION_TABLE[outcome]
-    session.state = apply_single(session.state, session.role_map["B"], u_b)
-    session.trace.events.append(CorrectionApplied(Role.BOB, u_b.name))
-    session.state = apply_single(session.state, session.role_map["C"], u_c)
-    session.trace.events.append(CorrectionApplied(Role.CHARLIE, u_c.name))
-    session.phase = Phase.CORRECTED
+    for role, unitary in zip(CORRECTION_QUBIT, BELL_CORRECTION_TABLE[outcome]):
+        correct(session, role, unitary)
 
 
 def charlie_measure(
     session: SessionRegister, selector: OutcomeSelector
 ) -> tuple[CharlieOutcome, ClassicalMessage]:
     """Charlie's (|0> ± |1>)/sqrt(2) measurement of C, result sent to Bob."""
-    session._require_phase(Phase.CORRECTED, "charlie_measure")
-    k, probability, post = measure_in_basis(
-        session.state, session.role_map["C"], PLUS_MINUS, selector
-    )
-    outcome = list(CharlieOutcome)[k]
-    session.state = post
-    session.phase = Phase.CHARLIE_MEASURED
-    session.trace.events.append(CharlieMeasured(outcome, probability))
-    msg = session._emit_message(Role.CHARLIE, frozenset({Role.BOB}), outcome)
-    return outcome, msg
+    outcome = basis_measure(session, selector).outcome
+    return outcome, send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
 
 
 def bob_correct(session: SessionRegister, outcome: CharlieOutcome) -> StateVector:
-    """Bob's final conditional correction; returns his recovered single-qubit state."""
-    session._require_phase(Phase.CHARLIE_MEASURED, "bob_correct")
-    u = CHARLIE_CORRECTION_TABLE[outcome]
-    session.state = apply_single(session.state, session.role_map["B"], u)
-    session.trace.events.append(BobCorrected(u.name))
-    session.phase = Phase.DONE
-    return pure_state_from_density(partial_trace(session.state, [session.role_map["B"]]))
+    """Bob's final conditional correction and his finish; returns his recovered
+    single-qubit state."""
+    correct(session, Role.BOB, CHARLIE_CORRECTION_TABLE[outcome])
+    return bob_finish(session)[0]
 
 
 @dataclass
@@ -504,17 +561,15 @@ def run_protocol(
     charlie_outcome, _ = charlie_measure(session, charlie_selector)
     bob_state = bob_correct(session, charlie_outcome)
 
-    p_bell = next(e for e in session.trace.events if isinstance(e, BellMeasured)).probability
-    p_charlie = next(e for e in session.trace.events if isinstance(e, CharlieMeasured)).probability
-    fidelity = fidelity_pure(
-        partial_trace(session.state, [session.role_map["B"]]), prepare_signal(signal)
+    bell, charlie, finished = (
+        next(e for e in session.trace.events if isinstance(e, kind))
+        for kind in (BellMeasured, CharlieMeasured, Finished)
     )
-    session.trace.events.append(Finished(fidelity))
     return ProtocolResult(
         trace=session.trace,
         bob_state=bob_state,
-        fidelity=fidelity,
-        path_probability=p_bell * p_charlie,
+        fidelity=finished.fidelity,
+        path_probability=bell.probability * charlie.probability,
         bell_outcome=bell_outcome,
         charlie_outcome=charlie_outcome,
     )

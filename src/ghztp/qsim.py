@@ -131,12 +131,6 @@ HADAMARD = Unitary2x2([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], name="H
 
 NAMED_UNITARIES = {u.name: u for u in (IDENTITY, PAULI_X, PAULI_Z, ZX, HADAMARD)}
 
-# CNOT on a qubit pair with the control more significant.
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
-
-
 class MeasurementBasis:
     """Orthonormal single-qubit basis {b0, b1}; outcome k projects onto b_k."""
 
@@ -321,24 +315,6 @@ def apply_single(state: StateVector, qubit: int, u: Unitary2x2) -> StateVector:
     out = np.empty_like(psi)
     out[:, 0, :] = m[0, 0] * psi[:, 0, :] + m[0, 1] * psi[:, 1, :]
     out[:, 1, :] = m[1, 0] * psi[:, 0, :] + m[1, 1] * psi[:, 1, :]
-    return StateVector._wrap(n, out.reshape(-1))
-
-
-def apply_two(state: StateVector, q1: int, q2: int, u4) -> StateVector:
-    """Apply a 4x4 unitary to the (q1, q2) subspace, q1 more significant."""
-    if q1 == q2:
-        raise ValueError(f"q1 and q2 must differ, both are {q1}")
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    u = _as_finite_complex(u4, (4, 4), "apply_two unitary")
-    if not np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=ATOL_ALGEBRAIC):
-        raise ValidationError("apply_two matrix is not unitary")
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, (q1, q2), (0, 1))
-    rest = psi.shape[2:]
-    out = (u @ psi.reshape(4, -1)).reshape((2, 2) + rest)
-    out = np.moveaxis(out, (0, 1), (q1, q2))
     return StateVector._wrap(n, out.reshape(-1))
 
 

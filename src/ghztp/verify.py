@@ -33,6 +33,7 @@ from .qsim import (
     partial_trace,
 )
 from .protocol import (
+    QUBIT_B,
     SignalState,
     alice_bell_measure,
     apply_bell_correction,
@@ -177,7 +178,7 @@ def bob_view_before_charlie(signal: SignalState, bell: BellOutcome) -> SecurityR
     session = compose_session(signal)
     outcome, _ = alice_bell_measure(session, ForcedSelector(list(BellOutcome).index(bell)))
     apply_bell_correction(session, outcome)
-    rho_bob = partial_trace(session.state, [session.role_map["B"]])
+    rho_bob = partial_trace(session.state, [QUBIT_B])
     raw = fidelity_pure(rho_bob, prepare_signal(signal))
     bound = hermitian_max_eigenvalue_2x2(rho_bob)
     near_basis = min(abs(signal.alpha) ** 2, abs(signal.beta) ** 2) < NEAR_BASIS_PROBABILITY

@@ -80,18 +80,3 @@ def full_single_qubit_matrix(u, qubit, num_qubits):
     for q in range(num_qubits):
         m = np.kron(m, np.asarray(u) if q == qubit else np.eye(2))
     return m
-
-
-def full_two_qubit_matrix(u4, q1, q2, num_qubits):
-    """Embed a 4x4 operator on (q1, q2) into the full 2^n space by index arithmetic."""
-    dim = 2**num_qubits
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    u4 = np.asarray(u4)
-    for col in range(dim):
-        c1, c2 = bit_of(col, q1, num_qubits), bit_of(col, q2, num_qubits)
-        base = col & ~(1 << (num_qubits - 1 - q1)) & ~(1 << (num_qubits - 1 - q2))
-        for r1 in (0, 1):
-            for r2 in (0, 1):
-                row = base | (r1 << (num_qubits - 1 - q1)) | (r2 << (num_qubits - 1 - q2))
-                m[row, col] = u4[2 * r1 + r2, 2 * c1 + c2]
-    return m

@@ -4,6 +4,7 @@ import contextlib
 import select
 import socket
 import threading
+import time
 
 import pytest
 
@@ -98,6 +99,14 @@ def joined_session(coordinator):
             client.close()
 
 
+def wait_until_joined(coordinator, role: str, timeout: float = 5.0) -> None:
+    """Registration barrier: the coordinator logs every Hello it accepts."""
+    deadline = time.monotonic() + timeout
+    while f"# hello role={role}\n" not in coordinator.transcript_path.read_text():
+        assert time.monotonic() < deadline, f"{role} never joined"
+        time.sleep(0.01)
+
+
 def expect_error(client: Client, code: str):
     message = client.recv()
     assert message.kind is Kind.ERROR
@@ -174,6 +183,7 @@ def test_duplicate_role_is_refused_and_disconnected(make_coordinator):
     second = Client(coordinator.port)
     try:
         first.send(Kind.HELLO, {"role": "alice"})
+        wait_until_joined(coordinator, "alice")  # Hellos on two sockets race otherwise
         second.send(Kind.HELLO, {"role": "alice"})
         expect_error(second, ERR_ROLE_TAKEN)
         assert second.recv() is None  # coordinator hung up
@@ -193,10 +203,23 @@ def test_garbage_line_closes_that_connection_only(make_coordinator):
     vandal = Client(coordinator.port)
     try:
         alice.send(Kind.HELLO, {"role": "alice"})
+        wait_until_joined(coordinator, "alice")
         vandal.send_raw(b"definitely not json\n")
         expect_error(vandal, ERR_FRAME)
         assert vandal.recv() is None
         # server still up and alice still registered
+        probe = Client(coordinator.port)
+        probe.send(Kind.HELLO, {"role": "alice"})
+        expect_error(probe, ERR_ROLE_TAKEN)
+        probe.close()
+
+        # an op name that is no string is refused like an unknown one
+        bob = Client(coordinator.port)
+        bob.send(Kind.HELLO, {"role": "bob"})
+        bob.send(Kind.OP_REQUEST, {"op": ["prepare"]})
+        expect_error(bob, ERR_FRAME)
+        assert bob.recv() is None
+        bob.close()
         probe = Client(coordinator.port)
         probe.send(Kind.HELLO, {"role": "alice"})
         expect_error(probe, ERR_ROLE_TAKEN)
@@ -278,11 +301,13 @@ def test_full_manual_session_with_unmatched_correction_refused(make_coordinator)
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         assert clients[Role.ALICE].recv().body["outcome"] == "PhiPlus"
 
-        # PhiPlus owes nobody anything; an uninvited X is a phase error
-        clients[Role.BOB].send(
-            Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": "X"}
-        )
-        expect_error(clients[Role.BOB], ERR_PHASE)
+        # PhiPlus owes nobody anything; an uninvited X, or an identity that
+        # never crosses the wire, is a phase error
+        for unitary in ("X", "I"):
+            clients[Role.BOB].send(
+                Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": unitary}
+            )
+            expect_error(clients[Role.BOB], ERR_PHASE)
 
         clients[Role.CHARLIE].send(
             Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}

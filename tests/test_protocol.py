@@ -13,6 +13,10 @@ import pytest
 
 from ghztp.qsim import (
     BELL_VECTORS,
+    IDENTITY,
+    PAULI_X,
+    PAULI_Z,
+    ZX,
     BellOutcome,
     CharlieOutcome,
     ForcedSelector,
@@ -33,7 +37,6 @@ from ghztp.protocol import (
     PhaseError,
     ProtocolResult,
     Role,
-    SessionRegister,
     SignalPrepared,
     SignalState,
     alice_bell_measure,
@@ -41,6 +44,7 @@ from ghztp.protocol import (
     bob_correct,
     charlie_measure,
     compose_session,
+    correct,
     event_line,
     parse_event_line,
     parse_trace_text,
@@ -48,6 +52,7 @@ from ghztp.protocol import (
     prepare_signal,
     random_signal,
     run_protocol,
+    send,
     trace_order_errors,
 )
 
@@ -109,14 +114,6 @@ def test_composed_state_amplitudes():
     assert np.allclose(session.state.amplitudes, want, atol=1e-12)
     assert session.phase is Phase.INIT
     assert [type(e) for e in session.trace.events] == [GhzPrepared, SignalPrepared]
-
-
-def test_role_map_must_be_bijection():
-    state = compose_session(SignalState(1, 0)).state
-    with pytest.raises(ValidationError):
-        SessionRegister(state=state, role_map={"D": 0, "A": 1, "B": 2, "C": 2})
-    with pytest.raises(ValidationError):
-        SessionRegister(state=state, role_map={"D": 0, "A": 1, "B": 2})
 
 
 # --- Alice's measurement and the corrections ---------------------------------------
@@ -199,9 +196,85 @@ def test_phase_order_is_enforced():
     alice_bell_measure(session, ForcedSelector(0))
     with pytest.raises(PhaseError):
         alice_bell_measure(session, ForcedSelector(0))  # no second measurement
+    assert session.phase is Phase.CORRECTED  # PhiPlus owes nothing but identities
+    with pytest.raises(PhaseError):
+        apply_bell_correction(session, BellOutcome.PSI_PLUS)  # not the measured outcome
     apply_bell_correction(session, BellOutcome.PHI_PLUS)
     with pytest.raises(PhaseError):
         apply_bell_correction(session, BellOutcome.PHI_PLUS)
+    charlie_measure(session, ForcedSelector(1))
+    with pytest.raises(PhaseError):
+        charlie_measure(session, ForcedSelector(1))  # no second measurement
+    with pytest.raises(PhaseError):
+        bob_correct(session, CharlieOutcome.PLUS)  # Minus owes Z, not I
+    bob_correct(session, CharlieOutcome.MINUS)
+    assert session.phase is Phase.DONE
+    with pytest.raises(PhaseError):
+        bob_correct(session, CharlieOutcome.MINUS)
+
+
+@pytest.mark.parametrize("first", [Role.BOB, Role.CHARLIE])
+def test_session_is_corrected_whichever_role_corrects_first(first):
+    session = forced_session(BellOutcome.PSI_MINUS)  # Bob owes X, Charlie owes ZX
+    owed = {Role.BOB: PAULI_X, Role.CHARLIE: ZX}
+    second = Role.CHARLIE if first is Role.BOB else Role.BOB
+    correct(session, first, owed[first])
+    assert session.phase is Phase.BELL_MEASURED
+    with pytest.raises(PhaseError):
+        charlie_measure(session, ForcedSelector(0))  # the other correction is still owed
+    correct(session, second, owed[second])
+    assert session.phase is Phase.CORRECTED
+    want = np.kron(BELL_VECTORS[BellOutcome.PSI_MINUS], np.array(COMMON_FORM, dtype=complex))
+    assert np.allclose(session.state.amplitudes, want, atol=1e-12)
+    charlie_measure(session, ForcedSelector(0))
+    assert session.phase is Phase.CHARLIE_MEASURED
+
+
+def test_corrections_nobody_owes_are_refused():
+    session = forced_session(BellOutcome.PSI_PLUS)  # Bob and Charlie each owe X
+    before = session.state
+    for role, unitary in (
+        (Role.ALICE, PAULI_X),
+        (Role.BOB, PAULI_Z),
+        (Role.BOB, IDENTITY),
+        (Role.CHARLIE, ZX),
+    ):
+        with pytest.raises(PhaseError):
+            correct(session, role, unitary)
+    assert session.state is before
+    assert not any(isinstance(e, CorrectionApplied) for e in session.trace.events)
+    correct(session, Role.BOB, PAULI_X)
+    with pytest.raises(PhaseError):
+        correct(session, Role.BOB, PAULI_X)  # owed once, made once
+
+
+def test_an_owed_identity_never_holds_the_session_back():
+    session = forced_session(BellOutcome.PHI_MINUS)  # Bob owes I, Charlie owes Z
+    correct(session, Role.CHARLIE, PAULI_Z)
+    assert session.phase is Phase.CORRECTED
+    charlie_measure(session, ForcedSelector(0))  # Plus: Bob's final correction is I
+    bob_state = bob_correct(session, CharlieOutcome.PLUS)
+    assert abs(np.vdot(bob_state.amplitudes, [ALPHA, BETA])) == pytest.approx(1.0, abs=1e-10)
+    assert not any(isinstance(e, CorrectionApplied) and e.role is Role.BOB
+                   for e in session.trace.events)
+
+
+def test_each_outcome_is_sent_once_to_the_roles_that_need_it():
+    session = compose_session(SignalState(ALPHA, BETA))
+    bob_and_charlie = frozenset({Role.BOB, Role.CHARLIE})
+    with pytest.raises(PhaseError):
+        send(session, Role.ALICE, bob_and_charlie, BellOutcome.PHI_PLUS)  # not measured yet
+    outcome, _ = alice_bell_measure(session, ForcedSelector(2))
+    for sender, recipients, payload in (
+        (Role.ALICE, bob_and_charlie, outcome),  # already broadcast
+        (Role.BOB, frozenset({Role.CHARLIE}), outcome),  # Bob measures nothing
+        (Role.CHARLIE, frozenset({Role.BOB}), CharlieOutcome.PLUS),  # not measured yet
+    ):
+        with pytest.raises(PhaseError):
+            send(session, sender, recipients, payload)
+    apply_bell_correction(session, outcome)
+    charlie_measure(session, ForcedSelector(0))
+    assert [m.seq for m in session.trace.messages()] == [1, 2]
 
 
 # --- runs, traces, messages -----------------------------------------------------------

@@ -14,7 +14,6 @@ from ghztp.qsim import (
     ATOL_ALGEBRAIC,
     BELL_VECTORS,
     BellOutcome,
-    CNOT,
     COMPUTATIONAL,
     DensityMatrix,
     ForcedSelector,
@@ -33,7 +32,6 @@ from ghztp.qsim import (
     ValidationError,
     ZX,
     apply_single,
-    apply_two,
     basis_probabilities,
     bell_probabilities,
     fidelity_pure,
@@ -131,32 +129,9 @@ def test_apply_single_matches_full_matrix_oracle():
                 assert np.allclose(got, full @ sv.amplitudes, atol=ATOL_ALGEBRAIC)
 
 
-def test_apply_two_matches_full_matrix_oracle():
-    rng = np.random.default_rng(13)
-    for q1, q2 in [(0, 1), (1, 0), (0, 3), (2, 1)]:
-        sv = random_state(rng, 4)
-        got = apply_two(sv, q1, q2, CNOT).amplitudes
-        full = oracles.full_two_qubit_matrix(CNOT, q1, q2, 4)
-        assert np.allclose(got, full @ sv.amplitudes, atol=ATOL_ALGEBRAIC)
-
-
-def test_apply_two_rejects_same_qubit_and_non_unitary():
-    sv = new_basis_state(2, 0)
-    with pytest.raises(ValueError):
-        apply_two(sv, 1, 1, CNOT)
-    with pytest.raises(ValidationError):
-        apply_two(sv, 0, 1, np.eye(4) * 2)
-
-
 def test_hadamard_on_zero():
     got = apply_single(new_basis_state(1, 0), 0, HADAMARD)
     assert np.allclose(got.amplitudes, [SQRT_HALF, SQRT_HALF], atol=ATOL_ALGEBRAIC)
-
-
-def test_cnot_control_is_more_significant():
-    # |10> -> |11>: control at qubit 0 flips the target at qubit 1.
-    got = apply_two(new_basis_state(2, 0b10), 0, 1, CNOT)
-    assert got.probability(0b11) == pytest.approx(1.0, abs=ATOL_ALGEBRAIC)
 
 
 def test_tensor_is_kron_with_first_factor_significant():

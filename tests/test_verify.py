@@ -27,6 +27,7 @@ from ghztp.qsim import (
     partial_trace,
 )
 from ghztp.protocol import (
+    QUBIT_C,
     SignalState,
     alice_bell_measure,
     apply_bell_correction,
@@ -168,7 +169,7 @@ def test_charlie_view_is_equally_uninformative():
     # Charlie's reduced state give the same diagonal matrix and the same bound.
     for bell in BellOutcome:
         session = corrected_session(SIGNAL, bell)
-        rho_charlie = partial_trace(session.state, [session.role_map["C"]])
+        rho_charlie = partial_trace(session.state, [QUBIT_C])
         assert np.allclose(rho_charlie.entries, np.diag([0.36, 0.64]), atol=1e-10)
         raw = fidelity_pure(rho_charlie, prepare_signal(SIGNAL))
         assert raw == pytest.approx(0.5392, abs=1e-10)
