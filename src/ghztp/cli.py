@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     party_p.set_defaults(func=cmd_net_party)
 
     orch_p = net_sub.add_parser("orchestrate",
-                                help="spawn all four processes and compare with the in-process run")
+                                help="serve three party processes and compare with the in-process run")
     add_net_common(orch_p)
     _add_signal_args(orch_p)
     orch_p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))

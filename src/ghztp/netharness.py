@@ -1,11 +1,12 @@
-"""The protocol as four OS processes: a coordinator that drives the protocol
-engine, plus Alice, Bob and Charlie clients.
+"""The protocol over TCP: a coordinator that drives the protocol engine, plus
+Alice, Bob and Charlie clients. ``orchestrate`` serves the session in the
+calling process and spawns the three parties as their own processes.
 
 Amplitudes cannot be physically distributed in a classical simulation, so
 the coordinator holds the only session register and parties act on it
 through OpRequests, each of which the coordinator turns into one move of
 :mod:`ghztp.protocol`, the same moves the in-process run makes. Locality is
-preserved operationally: an ownership table says who may touch which qubit,
+preserved operationally: a fixed map says which qubits each role may touch,
 measurement results go only to the requesting party, and classical messages
 are relayed (star topology) through the coordinator, which also writes the
 single ordered transcript from the session's trace.
@@ -25,16 +26,17 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .qsim import NAMED_UNITARIES, BellOutcome, CharlieOutcome, SeededSelector, ValidationError
+from .qsim import NAMED_UNITARIES, BellOutcome, CharlieOutcome, SeededSelector
 from .protocol import (
     BELL_CORRECTION_TABLE,
     CHARLIE_CORRECTION_TABLE,
     QUBIT_A,
+    QUBIT_B,
+    QUBIT_C,
     QUBIT_D,
     BellMeasured,
     BobCorrected,
@@ -75,32 +77,16 @@ from .wire import (
 
 DEFAULT_TIMEOUT = 30.0
 
+# Characters of a party's stderr that orchestrate reports when the party fails.
+STDERR_TAIL = 500
+
 # Where each role's script stops when orchestrate is asked to drop it; the
 # dropped party joins, then goes silent right before this step.
 DROP_STAGE = {Role.ALICE: "bell", Role.BOB: "finish", Role.CHARLIE: "measure"}
 
 
-@dataclass(frozen=True)
-class OwnershipTable:
-    """Which role may touch which qubit; fixed for the whole session."""
-
-    owners: dict[int, Role]
-
-    def __post_init__(self):
-        if sorted(self.owners) != [0, 1, 2, 3]:
-            raise ValidationError(f"ownership must cover qubits 0..3, got {sorted(self.owners)}")
-        if set(self.owners.values()) != set(Role):
-            raise ValidationError("every role must own at least one qubit")
-
-    def qubits_of(self, role: Role) -> list[int]:
-        return sorted(q for q, r in self.owners.items() if r is role)
-
-    def owns(self, role: Role, qubits) -> bool:
-        return all(self.owners.get(q) is role for q in qubits)
-
-
-def default_ownership() -> OwnershipTable:
-    return OwnershipTable({0: Role.ALICE, 1: Role.ALICE, 2: Role.BOB, 3: Role.CHARLIE})
+# Which qubits each role owns, and so may name in an op; fixed for every session.
+QUBITS_OF = {Role.ALICE: (QUBIT_D, QUBIT_A), Role.BOB: (QUBIT_B,), Role.CHARLIE: (QUBIT_C,)}
 
 
 def read_transcript(path) -> tuple[list[str], list[TraceEvent]]:
@@ -199,7 +185,6 @@ class Coordinator:
     ):
         self.signal = signal
         self.session_id = uuid.uuid4().hex[:12]
-        self.ownership = default_ownership()
         self.timeout = timeout
         self.transcript_path = Path(transcript_path)
 
@@ -212,11 +197,12 @@ class Coordinator:
         self._finished: set[Role] = set()
         self._done = threading.Event()
 
+        # Bind first: a port that is taken raises OSError before any file is opened.
+        self._server = _Server((host, port), _Handler)
+        self._server.coordinator = self  # type: ignore[attr-defined]
         self._transcript = open(self.transcript_path, "w", buffering=1)
         self._meta(f"session id={self.session_id} seed={seed}")
         self._meta(f"signal alpha={signal.alpha!r} beta={signal.beta!r}")
-        self._server = _Server((host, port), _Handler)
-        self._server.coordinator = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     # -- lifecycle --------------------------------------------------------
@@ -297,10 +283,7 @@ class Coordinator:
                 for granted_role, granted_stream in self._streams.items():
                     granted_stream.send(
                         Kind.GRANT,
-                        {
-                            "role": granted_role.value,
-                            "qubits": self.ownership.qubits_of(granted_role),
-                        },
+                        {"role": granted_role.value, "qubits": QUBITS_OF[granted_role]},
                     )
         return role
 
@@ -369,7 +352,7 @@ class Coordinator:
             qubits = [int(q) for q in qubits]
         except (TypeError, ValueError):
             raise _SessionError(ERR_FRAME, f"bad qubit list {qubits!r}")
-        if not self.ownership.owns(role, qubits):
+        if not all(q in QUBITS_OF[role] for q in qubits):
             raise _SessionError(
                 ERR_LOCALITY,
                 f"locality violation: {role.value} does not own {qubits}",
@@ -664,23 +647,27 @@ def compare_transcript(
 
 
 def _spawn(args: list[str]) -> subprocess.Popen:
+    """Start ``ghztp <args>``; its stderr is read when it is reaped."""
     return subprocess.Popen(
         [sys.executable, "-m", "ghztp", *args],
-        stdout=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
     )
 
 
-def _terminate(processes) -> None:
-    for proc in processes:
-        if proc.poll() is None:
-            proc.kill()
+def _terminate(processes, grace: float) -> list[str]:
+    """Reap each process, killing it if it is still running after ``grace``
+    seconds; returns the tail of each one's stderr."""
+    tails = []
     for proc in processes:
         try:
-            proc.wait(timeout=5)
+            _, stderr = proc.communicate(timeout=grace)
         except subprocess.TimeoutExpired:
-            pass
+            proc.kill()
+            _, stderr = proc.communicate()
+        tails.append(stderr[-STDERR_TAIL:].strip())
+    return tails
 
 
 def orchestrate(
@@ -692,7 +679,8 @@ def orchestrate(
     transcript_dir=None,
     host: str = "127.0.0.1",
 ) -> ComparisonReport:
-    """Spawn coordinator + three parties and compare against the in-process run.
+    """Serve one session in this process to three spawned party processes,
+    then compare it with the in-process run of the same (signal, seed).
 
     With ``drop`` set, that party joins and then goes silent at its scripted
     step; the session must then stall instead of finishing.
@@ -702,53 +690,44 @@ def orchestrate(
     directory.mkdir(parents=True, exist_ok=True)
     transcript = directory / "net-transcript.log"
 
-    serve_args = [
-        "net", "serve",
-        "--host", host,
-        "--port", str(port),
-        "--seed", str(seed),
-        "--alpha", repr(signal.alpha.real), repr(signal.alpha.imag),
-        "--beta", repr(signal.beta.real), repr(signal.beta.imag),
-        "--transcript", str(transcript),
-        "--timeout", repr(timeout),
-    ]
-    coordinator = _spawn(serve_args)
-    parties: list[subprocess.Popen] = []
     try:
-        ready = coordinator.stdout.readline()
-        if not ready.startswith("READY port="):
-            _terminate([coordinator])
-            stderr = coordinator.stderr.read() if coordinator.stderr else ""
-            report = ComparisonReport(match=False, reference_fidelity=reference.fidelity)
-            report.problems.append(f"coordinator failed to start: {ready!r} {stderr!r}")
-            report.transcript = str(transcript)
-            return report
-        actual_port = int(ready.strip().split("=", 1)[1])
-
+        coordinator = Coordinator(signal, seed, transcript, host, port, timeout)
+    except OSError as exc:
+        return ComparisonReport(
+            match=False,
+            problems=[f"coordinator failed to start: cannot bind {host}:{port}: {exc}"],
+            reference_fidelity=reference.fidelity,
+            transcript=str(transcript),
+        )
+    parties: list[subprocess.Popen] = []
+    done = False
+    try:
+        coordinator.start()
         for role in Role:
             party_args = [
                 "net", "party",
                 "--role", role.value,
                 "--host", host,
-                "--port", str(actual_port),
+                "--port", str(coordinator.port),
                 "--timeout", repr(timeout),
             ]
             if drop is role:
                 party_args += ["--stop-before", DROP_STAGE[role]]
             parties.append(_spawn(party_args))
-
-        deadline = time.monotonic() + timeout + 15.0
-        while coordinator.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.02)
+        done = coordinator.wait()
     finally:
-        _terminate([coordinator, *parties])
+        coordinator.shutdown()
+        # Parties of a finished session are on their way out: let them exit.
+        stderr_tails = _terminate(parties, timeout if done else 0.0)
 
-    meta, events = read_transcript(transcript) if transcript.exists() else ([], [])
+    meta, events = read_transcript(transcript)
     report = compare_transcript(reference, meta, events)
     report.transcript = str(transcript)
     if report.stalled_role is None:
-        for role, proc in zip(Role, parties):
-            if proc.returncode not in (0, None):
-                report.problems.append(f"party {role.value} exited with {proc.returncode}")
+        for role, proc, tail in zip(Role, parties, stderr_tails):
+            if proc.returncode != 0:
+                report.problems.append(
+                    f"party {role.value} exited with {proc.returncode}, stderr ends {tail!r}"
+                )
                 report.match = False
     return report

@@ -192,9 +192,6 @@ class DensityMatrix:
         dm.entries = arr
         return dm
 
-    def diagonal(self) -> np.ndarray:
-        return self.entries.diagonal().real.copy()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented

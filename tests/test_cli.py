@@ -233,13 +233,16 @@ def test_net_party_reads_role_and_port_from_environment(capsys, monkeypatch):
 
 
 def test_net_orchestrate_matches_the_in_process_run(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "net", "orchestrate", "--seed", "7",
-        "--transcript-dir", str(tmp_path), "--timeout", "10",
-    )
-    assert code == EXIT_OK, err
-    assert "match: true" in out
-    assert (tmp_path / "net-transcript.log").exists()
+    # Preset seed 8's amplitudes moved by one ulp when normalized a second time.
+    for signal_args in (["--seed", "7"], ["--preset", "random", "--seed", "8"]):
+        directory = tmp_path / "-".join(signal_args)
+        code, out, err = run_cli(
+            capsys, "net", "orchestrate", *signal_args,
+            "--transcript-dir", str(directory), "--timeout", "10",
+        )
+        assert code == EXIT_OK, (signal_args, err)
+        assert "match: true" in out
+        assert (directory / "net-transcript.log").exists()
 
 
 def test_net_orchestrate_drop_charlie_stalls_at_his_measurement(capsys, tmp_path):
@@ -275,3 +278,16 @@ def test_net_serve_on_an_occupied_port_exits_4(capsys, tmp_path):
         )
     assert code == EXIT_CONNECTION
     assert "cannot bind" in err
+
+
+def test_net_orchestrate_on_an_occupied_port_exits_1(capsys, tmp_path):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(1)
+        code, out, err = run_cli(
+            capsys, "net", "orchestrate", "--port", str(sock.getsockname()[1]),
+            "--transcript-dir", str(tmp_path),
+        )
+    assert code == EXIT_CHECK_FAILED
+    assert "match: false" in out
+    assert "problem: coordinator failed to start:" in err and "cannot bind" in err

@@ -3,19 +3,21 @@
 import contextlib
 import select
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+from ghztp import netharness
 from ghztp.netharness import (
     Coordinator,
     ComparisonReport,
-    OwnershipTable,
     PartyConfig,
     compare_transcript,
-    default_ownership,
     infer_stall,
+    orchestrate,
     read_transcript,
     run_party,
 )
@@ -27,7 +29,6 @@ from ghztp.protocol import (
     SignalState,
     run_protocol,
 )
-from ghztp.qsim import ValidationError
 from ghztp.wire import ERR_FRAME, ERR_LOCALITY, ERR_PHASE, ERR_ROLE_TAKEN, Kind, MessageStream
 
 SIGNAL = SignalState(0.6, 0.8)
@@ -126,26 +127,6 @@ def start_party(role: Role, port: int, results: dict, timeout=5.0, stop_before=N
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
     return thread
-
-
-# --- ownership -----------------------------------------------------------
-
-
-def test_ownership_must_cover_all_qubits_and_roles():
-    with pytest.raises(ValidationError):
-        OwnershipTable({0: Role.ALICE, 1: Role.ALICE, 2: Role.BOB})
-    with pytest.raises(ValidationError):
-        OwnershipTable({0: Role.ALICE, 1: Role.ALICE, 2: Role.BOB, 3: Role.BOB})
-
-
-def test_default_ownership_layout():
-    table = default_ownership()
-    assert table.qubits_of(Role.ALICE) == [0, 1]
-    assert table.qubits_of(Role.BOB) == [2]
-    assert table.qubits_of(Role.CHARLIE) == [3]
-    assert table.owns(Role.ALICE, [0, 1])
-    assert not table.owns(Role.ALICE, [0, 2])
-    assert not table.owns(Role.BOB, [5])
 
 
 # --- joining -------------------------------------------------------------
@@ -255,6 +236,13 @@ def test_locality_rejection_leaves_state_untouched(make_coordinator):
         assert fingerprint is not None
 
         clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
+        expect_error(clients[Role.BOB], ERR_LOCALITY)
+        assert coordinator.state_fingerprint() == fingerprint
+
+        # a qubit that does not exist belongs to nobody
+        clients[Role.BOB].send(
+            Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 5, "unitary": "X"}
+        )
         expect_error(clients[Role.BOB], ERR_LOCALITY)
         assert coordinator.state_fingerprint() == fingerprint
 
@@ -542,3 +530,65 @@ def test_read_transcript_splits_meta_from_events(tmp_path):
     assert meta == ["session id=abc seed=0", "hello role=alice"]
     assert len(events) == 2
     assert isinstance(events[1], Finished)
+
+
+# --- orchestrate -------------------------------------------------------------
+
+
+def test_orchestrate_matches_bitwise_for_a_tiny_negative_amplitude(tmp_path, monkeypatch):
+    popen = subprocess.Popen
+    spawned = []
+
+    def recording_popen(argv, **kwargs):
+        spawned.append(list(argv))
+        return popen(argv, **kwargs)
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", recording_popen)
+    # repr(-3e-05) reads as an option on a command line; the signal never goes on one.
+    signal = SignalState(complex(-3e-05, 0), 1)
+    report = orchestrate(signal, seed=1, timeout=10.0, transcript_dir=tmp_path)
+    assert report.match, report.problems
+    assert report.net_fidelity == report.reference_fidelity == run_protocol(signal, seed=1).fidelity
+
+    assert [argv[1:5] for argv in spawned] == [["-m", "ghztp", "net", "party"]] * 3
+    assert not any("e-05" in arg or "alpha" in arg for argv in spawned for arg in argv)
+
+
+def test_orchestrate_on_an_occupied_port_reports_that_the_coordinator_failed(tmp_path):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(1)
+        report = orchestrate(SIGNAL, seed=0, port=sock.getsockname()[1], timeout=5.0,
+                             transcript_dir=tmp_path)
+    assert not report.match
+    (problem,) = report.problems
+    assert problem.startswith("coordinator failed to start:") and "cannot bind" in problem
+    assert report.stalled_at is None
+
+
+# Plays Bob's part in full, then floods stderr past a pipe's 64 KiB and fails.
+FLOODING_BOB = (
+    "import sys\n"
+    "from ghztp.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "sys.stderr.write('x' * 100_000 + ' last words')\n"
+    "sys.exit(3)\n"
+)
+
+
+def test_a_party_that_floods_stderr_and_fails_is_reaped_and_reported(tmp_path, monkeypatch):
+    popen = subprocess.Popen
+
+    def spawn_flooding_bob(argv, **kwargs):
+        if "bob" in argv:
+            argv = [sys.executable, "-c", FLOODING_BOB, *argv[3:]]
+        return popen(argv, **kwargs)
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_flooding_bob)
+    report = orchestrate(SIGNAL, seed=0, timeout=10.0, transcript_dir=tmp_path)
+
+    assert not report.match
+    assert report.stalled_at is None  # the session itself completed
+    (problem,) = report.problems
+    assert problem.startswith("party bob exited with 3, stderr ends 'xxx")
+    assert problem.endswith(" last words'")
