@@ -12,9 +12,10 @@ are relayed (star topology) through the coordinator, which also writes the
 single ordered transcript from the session's trace.
 
 Randomness lives only in the coordinator, which consumes its seeded PRNG in
-the same order as the in-process run (Bell draw, then Charlie draw), so for
-a given (signal, seed) the networked transcript carries bitwise the same
-outcomes, probabilities and final fidelity.
+the same order as the in-process run (Bell draw, then Charlie draw), and it
+holds Charlie's Bell correction until Bob has made his. So for a given
+(signal, seed) the networked transcript is the in-process trace, minus the
+identity corrections that never cross the wire, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import sys
 import tempfile
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
-from .qsim import NAMED_UNITARIES, BellOutcome, CharlieOutcome, SeededSelector
+from .qsim import IDENTITY, NAMED_UNITARIES, BellOutcome, CharlieOutcome, SeededSelector
 from .protocol import (
     BELL_CORRECTION_TABLE,
     CHARLIE_CORRECTION_TABLE,
@@ -44,6 +46,7 @@ from .protocol import (
     ClassicalMessage,
     CorrectionApplied,
     Finished,
+    GhzPrepared,
     Phase,
     PhaseError,
     ProtocolResult,
@@ -62,7 +65,6 @@ from .protocol import (
     parse_event_line,
     run_protocol,
     send,
-    trace_order_errors,
 )
 from .wire import (
     ERR_FRAME,
@@ -112,6 +114,8 @@ class _SessionError(Exception):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # small replies must not wait for a delayed ACK
+
     def handle(self):
         coord: Coordinator = self.server.coordinator  # type: ignore[attr-defined]
         stream = MessageStream(self.rfile, self.wfile, session_id=coord.session_id)
@@ -168,10 +172,11 @@ class Coordinator:
 
     The protocol engine (:mod:`ghztp.protocol`) makes every change to the
     session's state, phase and trace; the coordinator adds what the network
-    needs: locality, who may make which move, the wait for outstanding Bell
-    corrections before Charlie measures, relaying, and the transcript. Every
-    move and transcript write happens under one lock, so the transcript is a
-    total order consistent with each connection's send order.
+    needs: locality, who may make which move, relaying, the transcript, and
+    holding Charlie's moves until Bob owes no Bell correction, which puts
+    every session in the in-process order (Charlie owes a correction whenever
+    Bob does). Every move and transcript write happens under one lock, so the
+    transcript is a total order consistent with each connection's send order.
     """
 
     def __init__(
@@ -382,7 +387,10 @@ class Coordinator:
         # Identity corrections never cross the wire: parties skip them.
         if unitary is None or unitary.is_identity():
             raise _SessionError(ERR_PHASE, f"no correction {name!r} is ever requested")
-        correct(self._prepared(), role, unitary)
+        session = self._prepared()
+        if role is Role.CHARLIE:
+            self._wait_for_bob(session)
+        correct(session, role, unitary)
         return {"op": "apply_correction", "applied": name, "qubit": qubit}
 
     def _op_basis_measure(self, role: Role, body: dict) -> dict:
@@ -392,11 +400,18 @@ class Coordinator:
         if role is not Role.CHARLIE:
             raise _SessionError(ERR_PHASE, "basis_measure is Charlie's move")
         session = self._prepared()
-        # Wait for outstanding Bell corrections so the measurement happens on
-        # exactly the state the in-process run measures (bitwise); on timeout
-        # the engine refuses the measurement.
-        self._settled.wait_for(lambda: session.phase is not Phase.BELL_MEASURED, self.timeout)
+        self._wait_for_bob(session)
         return _measured("basis_measure", basis_measure(session, self._selector))
+
+    def _wait_for_bob(self, session: SessionRegister) -> None:
+        """Hold Charlie's correction or measurement until Bob owes no Bell
+        correction, the in-process order; refused on timeout."""
+        if not self._settled.wait_for(
+            lambda: session.phase is not Phase.BELL_MEASURED
+            or session.owed.get(Role.BOB, IDENTITY).is_identity(),
+            self.timeout,
+        ):
+            raise _SessionError(ERR_PHASE, "Bob has not made his Bell correction")
 
     def _op_fetch_bob_state(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
@@ -448,6 +463,7 @@ def run_party(role: Role, config: PartyConfig) -> int:
     stop = config.stop_before
     with socket.create_connection((config.host, config.port), timeout=config.timeout) as sock:
         sock.settimeout(config.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
             stream = MessageStream(rfile, wfile)
             stream.send(Kind.HELLO, {"role": role.value})
@@ -551,97 +567,78 @@ class ComparisonReport:
     transcript: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "match": self.match,
-            "problems": list(self.problems),
-            "stalled_role": self.stalled_role,
-            "stalled_at": self.stalled_at,
-            "net_fidelity": self.net_fidelity,
-            "reference_fidelity": self.reference_fidelity,
-            "transcript": self.transcript,
-        }
+        return asdict(self)
 
 
-def _is_identity_correction(event: TraceEvent) -> bool:
-    return (
-        isinstance(event, (CorrectionApplied, BobCorrected)) and event.unitary == "I"
-    )
+def _networked(reference: ProtocolResult) -> list[TraceEvent]:
+    """The reference trace as a networked session writes it: identity
+    corrections never cross the wire."""
+    return [
+        e for e in reference.trace.events
+        if not (isinstance(e, (CorrectionApplied, BobCorrected)) and e.unitary == "I")
+    ]
 
 
-def infer_stall(meta: list[str], events: list[TraceEvent]) -> tuple[str, str] | None:
-    """(stalled_role, stalled_at) from a partial transcript, or None if complete."""
+def _move_of(event: TraceEvent) -> tuple[str, str]:
+    """The role that writes ``event``, and the name of that move as a stall label."""
+    if isinstance(event, (GhzPrepared, SignalPrepared)):
+        return Role.ALICE.value, "Prepare"
+    if isinstance(event, BellMeasured):
+        return Role.ALICE.value, "BellMeasure"
+    if isinstance(event, ClassicalMessage):
+        return event.sender.value, "Broadcast" if event.sender is Role.ALICE else "CharlieSend"
+    if isinstance(event, CorrectionApplied):
+        return event.role.value, "BellCorrection"
+    if isinstance(event, CharlieMeasured):
+        return Role.CHARLIE.value, "CharlieMeasure"
+    return Role.BOB.value, "BobFinish"  # BobCorrected, Finished
+
+
+def infer_stall(
+    reference: ProtocolResult, meta: list[str], events: list[TraceEvent]
+) -> tuple[str, str] | None:
+    """(stalled_role, stalled_at) when a party never joined or the events are
+    a proper prefix of the reference's; None for a complete or a mismatching
+    transcript."""
     helloed = {line.split("role=")[1] for line in meta if line.startswith("hello role=")}
     missing = sorted(r.value for r in Role if r.value not in helloed)
     if missing:
         return ",".join(missing), "Join"
-    if not any(isinstance(e, SignalPrepared) for e in events):
-        return Role.ALICE.value, "Prepare"
-    if not any(isinstance(e, BellMeasured) for e in events):
-        return Role.ALICE.value, "BellMeasure"
-    if not any(isinstance(e, ClassicalMessage) and e.sender is Role.ALICE for e in events):
-        return Role.ALICE.value, "Broadcast"
-    if not any(isinstance(e, CharlieMeasured) for e in events):
-        return Role.CHARLIE.value, "CharlieMeasure"
-    if not any(isinstance(e, ClassicalMessage) and e.sender is Role.CHARLIE for e in events):
-        return Role.CHARLIE.value, "CharlieSend"
-    if not any(isinstance(e, Finished) for e in events):
-        return Role.BOB.value, "BobFinish"
+    expected = _networked(reference)
+    got = [event_line(e) for e in events]
+    if len(got) < len(expected) and got == [event_line(e) for e in expected[: len(got)]]:
+        return _move_of(expected[len(got)])
     return None
 
 
 def compare_transcript(
     reference: ProtocolResult, meta: list[str], events: list[TraceEvent]
 ) -> ComparisonReport:
-    """Dependency-order and bitwise-value comparison of a networked transcript.
+    """Compare a networked transcript with the in-process run, line for line.
 
-    The networked trace legitimately omits identity corrections and may order
-    Bob's and Charlie's (commuting) corrections either way, so correction
-    lines are compared as sets; every other shared line must match byte for
-    byte, which makes fidelity equality exact rather than approximate.
+    A networked session writes the reference trace without its identity
+    corrections, in the same order, so the event lines must be equal byte for
+    byte; that makes outcome, probability and fidelity equality exact. A
+    proper prefix is a stall (see :func:`infer_stall`); anything else is a
+    mismatch at the first differing event.
     """
     report = ComparisonReport(match=False, reference_fidelity=reference.fidelity)
-    stall = infer_stall(meta, events)
+    stall = infer_stall(reference, meta, events)
     if stall is not None:
         report.stalled_role, report.stalled_at = stall
         report.problems.append(f"session stalled at {report.stalled_at}")
         return report
 
-    report.problems.extend(trace_order_errors(events))
-
-    ref_lines = [event_line(e) for e in reference.trace.events if not _is_identity_correction(e)]
-    net_lines = [event_line(e) for e in events]
-
-    def lines_of(prefix: str, lines: list[str]) -> list[str]:
-        return [line for line in lines if line.split(" ", 1)[0] == prefix]
-
-    for kind in ("GhzPrepared", "SignalPrepared", "BellMeasured", "CharlieMeasured",
-                 "Classical", "Finished"):
-        ref_subset = lines_of(kind, ref_lines)
-        net_subset = lines_of(kind, net_lines)
-        if ref_subset != net_subset:
-            report.problems.append(
-                f"{kind} lines differ: expected {ref_subset!r}, got {net_subset!r}"
-            )
-
-    ref_corrections = sorted(
-        lines_of("CorrectionApplied", ref_lines) + lines_of("BobCorrected", ref_lines)
-    )
-    net_corrections = sorted(
-        lines_of("CorrectionApplied", net_lines) + lines_of("BobCorrected", net_lines)
-    )
-    if ref_corrections != net_corrections:
-        report.problems.append(
-            f"correction lines differ: expected {ref_corrections!r}, got {net_corrections!r}"
+    report.net_fidelity = next((e.fidelity for e in events if isinstance(e, Finished)), None)
+    expected = [event_line(e) for e in _networked(reference)]
+    got = [event_line(e) for e in events]
+    if got != expected:
+        index, want, have = next(
+            (i, want, have)
+            for i, (want, have) in enumerate(zip_longest(expected, got))
+            if want != have
         )
-
-    finished = [e for e in events if isinstance(e, Finished)]
-    if finished:
-        report.net_fidelity = finished[0].fidelity
-        if finished[0].fidelity != reference.fidelity:
-            report.problems.append(
-                f"fidelity differs: net {finished[0].fidelity!r} "
-                f"vs reference {reference.fidelity!r}"
-            )
+        report.problems.append(f"event {index + 1} differs: expected {want!r}, got {have!r}")
     report.match = not report.problems
     return report
 

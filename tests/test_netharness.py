@@ -15,6 +15,7 @@ from ghztp.netharness import (
     Coordinator,
     ComparisonReport,
     PartyConfig,
+    PartyError,
     compare_transcript,
     infer_stall,
     orchestrate,
@@ -23,6 +24,7 @@ from ghztp.netharness import (
 )
 from ghztp.protocol import (
     BobCorrected,
+    ClassicalMessage,
     CorrectionApplied,
     Finished,
     Role,
@@ -347,7 +349,7 @@ def test_classical_relay_validates_sender_payload_and_recipients(make_coordinato
 # --- ordering across parties ------------------------------------------------
 
 
-def test_charlie_measurement_waits_for_bobs_bell_correction(make_coordinator):
+def test_charlies_bell_correction_waits_for_bobs(make_coordinator):
     coordinator = make_coordinator(seed=SEED_BOB_OWES_X)
     with joined_session(coordinator) as clients:
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
@@ -355,24 +357,19 @@ def test_charlie_measurement_waits_for_bobs_bell_correction(make_coordinator):
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         assert clients[Role.ALICE].recv().body["outcome"] == "PsiPlus"
 
-        clients[Role.CHARLIE].send(
-            Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 3, "unitary": "X"}
-        )
-        assert clients[Role.CHARLIE].recv().body["applied"] == "X"
-
         answered = threading.Event()
-        outcome = {}
+        reply = {}
 
-        def measure():
+        def correct_charlie():
             clients[Role.CHARLIE].send(
-                Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
+                Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 3, "unitary": "X"}
             )
-            outcome["body"] = clients[Role.CHARLIE].recv().body
+            reply["body"] = clients[Role.CHARLIE].recv().body
             answered.set()
 
-        thread = threading.Thread(target=measure, daemon=True)
+        thread = threading.Thread(target=correct_charlie, daemon=True)
         thread.start()
-        assert not answered.wait(0.3)  # blocked on Bob's outstanding X
+        assert not answered.wait(0.3)  # sent first, held on Bob's outstanding X
 
         clients[Role.BOB].send(
             Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": "X"}
@@ -380,7 +377,18 @@ def test_charlie_measurement_waits_for_bobs_bell_correction(make_coordinator):
         assert clients[Role.BOB].recv().body["applied"] == "X"
         assert answered.wait(5.0)
         thread.join(5.0)
-        assert outcome["body"]["outcome"] == "Minus"
+        assert reply["body"]["applied"] == "X"
+
+        clients[Role.CHARLIE].send(
+            Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
+        )
+        assert clients[Role.CHARLIE].recv().body["outcome"] == "Minus"
+    coordinator.shutdown()
+    _, events = read_transcript(coordinator.transcript_path)
+    assert [e for e in events if isinstance(e, CorrectionApplied)] == [
+        CorrectionApplied(Role.BOB, "X"),
+        CorrectionApplied(Role.CHARLIE, "X"),
+    ]
 
 
 def test_charlie_measurement_times_out_when_bob_never_corrects(make_coordinator):
@@ -393,7 +401,7 @@ def test_charlie_measurement_times_out_when_bob_never_corrects(make_coordinator)
         clients[Role.CHARLIE].send(
             Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 3, "unitary": "X"}
         )
-        clients[Role.CHARLIE].recv()
+        expect_error(clients[Role.CHARLIE], ERR_PHASE)  # held on Bob's X, then refused
         clients[Role.CHARLIE].send(
             Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
         )
@@ -433,10 +441,7 @@ def test_identity_corrections_never_cross_the_wire(make_coordinator):
 def test_all_corrections_cross_the_wire_when_due(make_coordinator):
     _, events = run_full_session(make_coordinator, SEED_ALL_CORRECTIONS)
     corrections = [e for e in events if isinstance(e, CorrectionApplied)]
-    assert {(e.role, e.unitary) for e in corrections} == {
-        (Role.BOB, "X"),
-        (Role.CHARLIE, "ZX"),
-    }
+    assert [(e.role, e.unitary) for e in corrections] == [(Role.BOB, "X"), (Role.CHARLIE, "ZX")]
     assert [e.unitary for e in events if isinstance(e, BobCorrected)] == ["Z"]
 
 
@@ -456,8 +461,31 @@ def test_dropped_charlie_stalls_the_session_before_bob_finishes(make_coordinator
     coordinator.shutdown()
     meta, events = read_transcript(coordinator.transcript_path)
     assert any(line == "session incomplete" for line in meta)
-    assert infer_stall(meta, events) == ("charlie", "CharlieMeasure")
+    reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
+    assert infer_stall(reference, meta, events) == ("charlie", "CharlieMeasure")
     assert not any(isinstance(e, Finished) for e in events)
+
+
+def test_a_bob_who_never_corrects_stalls_the_session_at_his_bell_correction(make_coordinator):
+    # PsiMinus: Bob owes X, Charlie owes ZX, and Charlie's is held for Bob's.
+    coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS, timeout=1.0)
+    results = {}
+    threads = [
+        start_party(Role.ALICE, coordinator.port, results),
+        start_party(Role.BOB, coordinator.port, results, stop_before="correction"),
+        start_party(Role.CHARLIE, coordinator.port, results),
+    ]
+    for thread in threads:
+        thread.join(10.0)
+    assert results[Role.ALICE] == results[Role.BOB] == 0
+    assert isinstance(results[Role.CHARLIE], PartyError)
+    assert f"coordinator error {ERR_PHASE}" in str(results[Role.CHARLIE])
+    coordinator.shutdown()
+
+    meta, events = read_transcript(coordinator.transcript_path)
+    assert isinstance(events[-1], ClassicalMessage) and events[-1].sender is Role.ALICE
+    report = compare_transcript(run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS), meta, events)
+    assert (report.stalled_role, report.stalled_at) == ("bob", "BellCorrection")
 
 
 # --- transcript analysis ----------------------------------------------------
@@ -472,16 +500,18 @@ def reference_events():
 
 
 def test_infer_stall_walks_the_milestones():
+    reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
     events = reference_events()
-    assert infer_stall(["hello role=alice", "hello role=charlie"], []) == ("bob", "Join")
-    assert infer_stall([], []) == ("alice,bob,charlie", "Join")
-    assert infer_stall(HELLO_META, []) == ("alice", "Prepare")
-    assert infer_stall(HELLO_META, events[:2]) == ("alice", "BellMeasure")
-    assert infer_stall(HELLO_META, events[:3]) == ("alice", "Broadcast")
-    assert infer_stall(HELLO_META, events[:4]) == ("charlie", "CharlieMeasure")
-    assert infer_stall(HELLO_META, events[:7]) == ("charlie", "CharlieSend")
-    assert infer_stall(HELLO_META, events[:8]) == ("bob", "BobFinish")
-    assert infer_stall(HELLO_META, events) is None
+    assert infer_stall(reference, ["hello role=alice", "hello role=charlie"], []) == ("bob", "Join")
+    assert infer_stall(reference, [], []) == ("alice,bob,charlie", "Join")
+    assert infer_stall(reference, HELLO_META, []) == ("alice", "Prepare")
+    assert infer_stall(reference, HELLO_META, events[:2]) == ("alice", "BellMeasure")
+    assert infer_stall(reference, HELLO_META, events[:3]) == ("alice", "Broadcast")
+    assert infer_stall(reference, HELLO_META, events[:4]) == ("bob", "BellCorrection")
+    assert infer_stall(reference, HELLO_META, events[:5]) == ("charlie", "BellCorrection")
+    assert infer_stall(reference, HELLO_META, events[:7]) == ("charlie", "CharlieSend")
+    assert infer_stall(reference, HELLO_META, events[:8]) == ("bob", "BobFinish")
+    assert infer_stall(reference, HELLO_META, events) is None
 
 
 def test_compare_transcript_accepts_the_reference_itself():
@@ -514,7 +544,7 @@ def test_compare_transcript_flags_reordering_and_missing_corrections():
     events = [e for e in reference.trace.events if not isinstance(e, CorrectionApplied)]
     report = compare_transcript(reference, HELLO_META, events)
     assert not report.match
-    assert any("correction" in problem for problem in report.problems)
+    assert any("'CorrectionApplied role=bob unitary=X'" in problem for problem in report.problems)
 
 
 def test_read_transcript_splits_meta_from_events(tmp_path):
