@@ -3,54 +3,47 @@
 Simulator substrate (qsim), the three-party protocol with a supervising
 third party (protocol), verification and security analyses (verify), and a
 line-oriented network harness that runs the same protocol across processes
-(wire, netharness). The ``ghztp`` command line fronts all of it.
+(wire, netharness, party). The ``ghztp`` command line fronts all of it.
+
+Importing the package imports only the protocol's vocabulary (vocab); the
+names that need numpy are bound on first use (PEP 562), so a party process,
+which never uses them, never imports numpy.
 """
 
-from .qsim import (
-    ATOL_ACCUMULATED,
-    ATOL_ALGEBRAIC,
-    BellOutcome,
-    CharlieOutcome,
-    DensityMatrix,
-    ForcedSelector,
-    ImpossibleOutcomeError,
-    MIN_FORCED_PROBABILITY,
-    NORM_REPAIR_TOL,
-    SeededSelector,
-    StateVector,
-    Unitary2x2,
-    ValidationError,
-)
-from .protocol import (
-    PhaseError,
-    ProtocolResult,
-    Role,
-    SessionRegister,
-    SignalState,
-    run_protocol,
-)
+import importlib
+
+from .vocab import BellOutcome, CharlieOutcome, Role
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOL_ACCUMULATED",
-    "ATOL_ALGEBRAIC",
-    "BellOutcome",
-    "CharlieOutcome",
-    "DensityMatrix",
-    "ForcedSelector",
-    "ImpossibleOutcomeError",
-    "MIN_FORCED_PROBABILITY",
-    "NORM_REPAIR_TOL",
-    "PhaseError",
-    "ProtocolResult",
-    "Role",
-    "SeededSelector",
-    "SessionRegister",
-    "SignalState",
-    "StateVector",
-    "Unitary2x2",
-    "ValidationError",
-    "run_protocol",
-    "__version__",
-]
+# Name -> the module that defines it, imported when the name is first used.
+_LAZY = {
+    name: "qsim"
+    for name in (
+        "ATOL_ACCUMULATED",
+        "ATOL_ALGEBRAIC",
+        "DensityMatrix",
+        "ForcedSelector",
+        "ImpossibleOutcomeError",
+        "MIN_FORCED_PROBABILITY",
+        "NORM_REPAIR_TOL",
+        "SeededSelector",
+        "StateVector",
+        "Unitary2x2",
+        "ValidationError",
+    )
+} | {
+    name: "protocol"
+    for name in ("PhaseError", "ProtocolResult", "SessionRegister", "SignalState", "run_protocol")
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted([*_LAZY, "BellOutcome", "CharlieOutcome", "Role", "__version__"])

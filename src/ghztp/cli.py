@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from collections import Counter
@@ -32,17 +31,27 @@ from .qsim import (
     SQRT_HALF,
     ValidationError,
 )
-from .protocol import Role, SignalState, random_signal, run_protocol
+from .protocol import Role, random_signal
+# From the package, not from .protocol: the package binds its numpy-backed
+# names on first use, and this binds ghztp.SignalState and ghztp.run_protocol
+# as soon as cli is imported, so a tracer that wraps run_protocol finds every
+# binding of it in place.
+from . import SignalState, run_protocol
 from .verify import bob_view_before_charlie, enumerate_branches, security_sweep
 from . import netharness
-from .netharness import Coordinator, PartyConfig, PartyError, run_party
-from .wire import FrameError
+from .netharness import Coordinator
+from .party import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONNECTION,
+    add_net_args,
+    add_party_args,
+    cmd_net_party,
+    env_default,
+)
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IMPOSSIBLE = 3
-EXIT_CONNECTION = 4
 EXIT_STALLED = 5
 
 FIDELITY_PASS = 1.0 - 1e-8
@@ -109,10 +118,6 @@ class RunConfig:
         if preset == "random":
             return random_signal(random.Random(self.seed or 0))
         return SignalState(*PRESETS[preset])
-
-
-def _env(name: str, fallback):
-    return os.environ.get(f"GHZTP_{name}", fallback)
 
 
 def _fmt(value: float) -> str:
@@ -316,20 +321,6 @@ def cmd_net_serve(args) -> int:
     return EXIT_OK if done else EXIT_STALLED
 
 
-def cmd_net_party(args) -> int:
-    config = PartyConfig(
-        host=args.host, port=args.port, timeout=args.timeout, stop_before=args.stop_before
-    )
-    try:
-        return run_party(Role(args.role), config)
-    except (ConnectionError, TimeoutError, OSError) as exc:
-        print(f"connection error: {exc}", file=sys.stderr)
-        return EXIT_CONNECTION
-    except (PartyError, FrameError) as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-
-
 def cmd_net_orchestrate(args) -> int:
     signal = RunConfig.from_args(args).resolve_signal()
     report = netharness.orchestrate(
@@ -400,35 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
     net_p = sub.add_parser("net", help="run the protocol across processes")
     net_sub = net_p.add_subparsers(dest="net_command", required=True)
 
-    def add_net_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default=_env("HOST", "127.0.0.1"))
-        p.add_argument("--port", type=int, default=int(_env("PORT", "0")))
-        p.add_argument("--timeout", type=float, default=float(_env("TIMEOUT", "30")))
-
     serve_p = net_sub.add_parser("serve", help="coordinator: holds the state, writes the transcript")
-    add_net_common(serve_p)
+    add_net_args(serve_p)
     _add_signal_args(serve_p)
-    serve_p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    serve_p.add_argument("--transcript", default=_env("TRANSCRIPT", "ghztp-transcript.log"))
+    serve_p.add_argument("--seed", type=int, default=int(env_default("SEED", "0")))
+    serve_p.add_argument("--transcript", default=env_default("TRANSCRIPT", "ghztp-transcript.log"))
     serve_p.set_defaults(func=cmd_net_serve)
 
     party_p = net_sub.add_parser("party", help="one role's scripted client")
-    add_net_common(party_p)
-    party_p.add_argument("--role", required=_env("ROLE", None) is None,
-                         default=_env("ROLE", None), choices=[r.value for r in Role])
-    party_p.add_argument("--stop-before", default=_env("STOP_BEFORE", None),
-                         choices=["bell", "broadcast", "correction", "measure", "send", "finish"],
-                         help="go silent right before this step (negative tests)")
+    add_party_args(party_p)
     party_p.set_defaults(func=cmd_net_party)
 
     orch_p = net_sub.add_parser("orchestrate",
                                 help="serve three party processes and compare with the in-process run")
-    add_net_common(orch_p)
+    add_net_args(orch_p)
     _add_signal_args(orch_p)
-    orch_p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    orch_p.add_argument("--drop", default=_env("DROP", None), choices=[r.value for r in Role],
+    orch_p.add_argument("--seed", type=int, default=int(env_default("SEED", "0")))
+    orch_p.add_argument("--drop", default=env_default("DROP", None),
+                        choices=[r.value for r in Role],
                         help="make this party go silent at its scripted step")
-    orch_p.add_argument("--transcript-dir", default=_env("TRANSCRIPT_DIR", None))
+    orch_p.add_argument("--transcript-dir", default=env_default("TRANSCRIPT_DIR", None))
     _add_format_arg(orch_p)
     orch_p.set_defaults(func=cmd_net_orchestrate)
 

@@ -1,6 +1,6 @@
-"""The protocol over TCP: a coordinator that drives the protocol engine, plus
-Alice, Bob and Charlie clients. ``orchestrate`` serves the session in the
-calling process and spawns the three parties as their own processes.
+"""The protocol over TCP: a coordinator that drives the protocol engine for
+the party clients of :mod:`ghztp.party`. ``orchestrate`` serves the session
+in the calling process and spawns the three parties as their own processes.
 
 Amplitudes cannot be physically distributed in a classical simulation, so
 the coordinator holds the only session register and parties act on it
@@ -21,7 +21,7 @@ identity corrections that never cross the wire, byte for byte.
 from __future__ import annotations
 
 import contextlib
-import socket
+import os
 import socketserver
 import subprocess
 import sys
@@ -32,14 +32,9 @@ from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
-from .qsim import IDENTITY, NAMED_UNITARIES, BellOutcome, CharlieOutcome, SeededSelector
+from .qsim import IDENTITY, NAMED_UNITARIES, SeededSelector
+from .party import DEFAULT_TIMEOUT, PartyConfig, PartyError, run_party  # noqa: F401 (re-exported)
 from .protocol import (
-    BELL_CORRECTION_TABLE,
-    CHARLIE_CORRECTION_TABLE,
-    QUBIT_A,
-    QUBIT_B,
-    QUBIT_C,
-    QUBIT_D,
     BellMeasured,
     BobCorrected,
     CharlieMeasured,
@@ -50,12 +45,10 @@ from .protocol import (
     Phase,
     PhaseError,
     ProtocolResult,
-    Role,
     SessionRegister,
     SignalPrepared,
     SignalState,
     TraceEvent,
-    _parse_payload,
     basis_measure,
     bell_measure,
     bob_finish,
@@ -66,6 +59,7 @@ from .protocol import (
     run_protocol,
     send,
 )
+from .vocab import IDENTITY_NAME, QUBIT_A, QUBIT_D, QUBITS_OF, Role, parse_payload
 from .wire import (
     ERR_FRAME,
     ERR_LOCALITY,
@@ -74,21 +68,17 @@ from .wire import (
     FrameError,
     Kind,
     MessageStream,
-    WireMessage,
 )
-
-DEFAULT_TIMEOUT = 30.0
 
 # Characters of a party's stderr that orchestrate reports when the party fails.
 STDERR_TAIL = 500
 
+# The directory this ghztp was imported from; party children import it from there too.
+PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
+
 # Where each role's script stops when orchestrate is asked to drop it; the
 # dropped party joins, then goes silent right before this step.
 DROP_STAGE = {Role.ALICE: "bell", Role.BOB: "finish", Role.CHARLIE: "measure"}
-
-
-# Which qubits each role owns, and so may name in an op; fixed for every session.
-QUBITS_OF = {Role.ALICE: (QUBIT_D, QUBIT_A), Role.BOB: (QUBIT_B,), Role.CHARLIE: (QUBIT_C,)}
 
 
 def read_transcript(path) -> tuple[list[str], list[TraceEvent]]:
@@ -312,7 +302,7 @@ class Coordinator:
     def classical(self, role: Role, body: dict) -> None:
         try:
             recipients = frozenset(Role(r) for r in body["recipients"])
-            payload = _parse_payload(body["payload"])
+            payload = parse_payload(body["payload"])
         except (KeyError, ValueError, TypeError):
             raise _SessionError(ERR_FRAME, f"malformed Classical body {body!r}")
         with self._move():
@@ -426,131 +416,6 @@ class Coordinator:
         }
 
 
-# --- party scripts ---------------------------------------------------------------
-
-
-class PartyError(RuntimeError):
-    """The coordinator sent something the role's script cannot accept."""
-
-
-@dataclass
-class PartyConfig:
-    host: str = "127.0.0.1"
-    port: int = 0
-    timeout: float = DEFAULT_TIMEOUT
-    stop_before: str | None = None  # bell | broadcast | correction | measure | send | finish
-
-
-def _expect(stream: MessageStream, kind: Kind, op: str | None = None) -> WireMessage:
-    message = stream.recv()
-    if message is None:
-        raise ConnectionError("connection closed by coordinator")
-    if message.kind is Kind.ERROR:
-        raise PartyError(f"coordinator error {message.body.get('code')}: {message.body.get('message')}")
-    if message.kind is not kind:
-        raise PartyError(f"expected {kind.value}, got {message.kind.value}")
-    if op is not None and message.body.get("op") != op:
-        raise PartyError(f"expected result for {op}, got {message.body!r}")
-    return message
-
-
-def run_party(role: Role, config: PartyConfig) -> int:
-    """Play one role against a coordinator; returns 0 on a completed script.
-
-    A ``stop_before`` stage makes the party go silent (clean exit) right
-    before that step, which is how orchestrate drops a party.
-    """
-    stop = config.stop_before
-    with socket.create_connection((config.host, config.port), timeout=config.timeout) as sock:
-        sock.settimeout(config.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
-            stream = MessageStream(rfile, wfile)
-            stream.send(Kind.HELLO, {"role": role.value})
-            grant = _expect(stream, Kind.GRANT)
-            stream.session_id = grant.session_id
-            qubits = grant.body["qubits"]
-            if role is Role.ALICE:
-                _run_alice(stream, qubits, stop)
-            elif role is Role.BOB:
-                _run_bob(stream, qubits[0], stop)
-            else:
-                _run_charlie(stream, qubits[0], stop)
-    return 0
-
-
-def _run_alice(stream: MessageStream, qubits, stop: str | None) -> None:
-    if stop == "bell":
-        return
-    stream.send(Kind.OP_REQUEST, {"op": "prepare"})
-    _expect(stream, Kind.OP_RESULT, "prepare")
-    stream.send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": qubits})
-    result = _expect(stream, Kind.OP_RESULT, "bell_measure")
-    if stop == "broadcast":
-        return
-    stream.send(
-        Kind.CLASSICAL,
-        {
-            "recipients": [Role.BOB.value, Role.CHARLIE.value],
-            "payload": result.body["outcome"],
-        },
-    )
-    stream.send(Kind.FINISH, {})
-
-
-def _receive_payload(stream: MessageStream):
-    message = _expect(stream, Kind.CLASSICAL)
-    return _parse_payload(message.body["payload"])
-
-
-def _apply_if_needed(stream: MessageStream, qubit: int, unitary) -> None:
-    if unitary.is_identity():
-        return  # identity corrections are never requested
-    stream.send(
-        Kind.OP_REQUEST,
-        {"op": "apply_correction", "qubit": qubit, "unitary": unitary.name},
-    )
-    _expect(stream, Kind.OP_RESULT, "apply_correction")
-
-
-def _run_bob(stream: MessageStream, qubit: int, stop: str | None) -> None:
-    bell = _receive_payload(stream)
-    if not isinstance(bell, BellOutcome):
-        raise PartyError(f"expected a Bell outcome first, got {bell!r}")
-    if stop == "correction":
-        return
-    _apply_if_needed(stream, qubit, BELL_CORRECTION_TABLE[bell][0])
-    charlie = _receive_payload(stream)
-    if not isinstance(charlie, CharlieOutcome):
-        raise PartyError(f"expected Charlie's outcome, got {charlie!r}")
-    _apply_if_needed(stream, qubit, CHARLIE_CORRECTION_TABLE[charlie])
-    if stop == "finish":
-        return
-    stream.send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": qubit})
-    _expect(stream, Kind.OP_RESULT, "fetch_bob_state")
-    stream.send(Kind.FINISH, {})
-
-
-def _run_charlie(stream: MessageStream, qubit: int, stop: str | None) -> None:
-    bell = _receive_payload(stream)
-    if not isinstance(bell, BellOutcome):
-        raise PartyError(f"expected a Bell outcome first, got {bell!r}")
-    if stop == "correction":
-        return
-    _apply_if_needed(stream, qubit, BELL_CORRECTION_TABLE[bell][1])
-    if stop == "measure":
-        return
-    stream.send(Kind.OP_REQUEST, {"op": "basis_measure", "qubit": qubit, "basis": "plus_minus"})
-    result = _expect(stream, Kind.OP_RESULT, "basis_measure")
-    if stop == "send":
-        return
-    stream.send(
-        Kind.CLASSICAL,
-        {"recipients": [Role.BOB.value], "payload": result.body["outcome"]},
-    )
-    stream.send(Kind.FINISH, {})
-
-
 # --- orchestration ------------------------------------------------------------------
 
 
@@ -575,7 +440,7 @@ def _networked(reference: ProtocolResult) -> list[TraceEvent]:
     corrections never cross the wire."""
     return [
         e for e in reference.trace.events
-        if not (isinstance(e, (CorrectionApplied, BobCorrected)) and e.unitary == "I")
+        if not (isinstance(e, (CorrectionApplied, BobCorrected)) and e.unitary == IDENTITY_NAME)
     ]
 
 
@@ -644,9 +509,12 @@ def compare_transcript(
 
 
 def _spawn(args: list[str]) -> subprocess.Popen:
-    """Start ``ghztp <args>``; its stderr is read when it is reaped."""
+    """Start ``ghztp <args>`` on this process's ghztp; its stderr is read when
+    it is reaped."""
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     return subprocess.Popen(
         [sys.executable, "-m", "ghztp", *args],
+        env={**os.environ, "PYTHONPATH": path},
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
@@ -713,6 +581,9 @@ def orchestrate(
             parties.append(_spawn(party_args))
         done = coordinator.wait()
     finally:
+        # A party waits on the coordinator no longer than the coordinator waits
+        # on the session, so one that has exited by now did so on its own.
+        exited = [proc.poll() is not None for proc in parties]
         coordinator.shutdown()
         # Parties of a finished session are on their way out: let them exit.
         stderr_tails = _terminate(parties, timeout if done else 0.0)
@@ -720,11 +591,12 @@ def orchestrate(
     meta, events = read_transcript(transcript)
     report = compare_transcript(reference, meta, events)
     report.transcript = str(transcript)
-    if report.stalled_role is None:
-        for role, proc, tail in zip(Role, parties, stderr_tails):
-            if proc.returncode != 0:
-                report.problems.append(
-                    f"party {role.value} exited with {proc.returncode}, stderr ends {tail!r}"
-                )
-                report.match = False
+    for role, proc, tail, on_its_own in zip(Role, parties, stderr_tails, exited):
+        # After a stall the parties still waiting are killed; only a party that
+        # failed on its own can say why the session stalled.
+        if proc.returncode != 0 and (report.stalled_role is None or on_its_own):
+            report.problems.append(
+                f"party {role.value} exited with {proc.returncode}, stderr ends {tail!r}"
+            )
+            report.match = False
     return report

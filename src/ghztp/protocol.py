@@ -24,14 +24,9 @@ from typing import Union
 import numpy as np
 
 from .qsim import (
-    IDENTITY,
-    PAULI_X,
-    PAULI_Z,
+    NAMED_UNITARIES,
     PLUS_MINUS,
     SQRT_HALF,
-    ZX,
-    BellOutcome,
-    CharlieOutcome,
     ForcedSelector,
     NORM_REPAIR_TOL,
     OutcomeSelector,
@@ -47,16 +42,22 @@ from .qsim import (
     pure_state_from_density,
     tensor,
 )
+from .vocab import (
+    BELL_CORRECTION_NAMES,
+    CHARLIE_CORRECTION_NAMES,
+    QUBIT_A,
+    QUBIT_B,
+    QUBIT_C,
+    QUBIT_D,
+    BellOutcome,
+    CharlieOutcome,
+    Role,
+    parse_payload,
+)
 
 
 class PhaseError(RuntimeError):
     """An operation was attempted out of protocol order."""
-
-
-class Role(Enum):
-    ALICE = "alice"
-    BOB = "bob"
-    CHARLIE = "charlie"
 
 
 class Phase(Enum):
@@ -67,27 +68,19 @@ class Phase(Enum):
     DONE = "done"
 
 
-# Qubit index of each role label in the 4-qubit session register.
-QUBIT_D, QUBIT_A, QUBIT_B, QUBIT_C = 0, 1, 2, 3
-
 # The qubit each correcting role acts on, Bob first.
 CORRECTION_QUBIT = {Role.BOB: QUBIT_B, Role.CHARLIE: QUBIT_C}
 
 # Who hears each measuring role's outcome.
 RECIPIENTS = {Role.ALICE: frozenset({Role.BOB, Role.CHARLIE}), Role.CHARLIE: frozenset({Role.BOB})}
 
-# Outcome -> (correction on B, correction on C), applied after Alice's broadcast.
+# The correction tables of :mod:`ghztp.vocab`, each name bound to its unitary.
 BELL_CORRECTION_TABLE: dict[BellOutcome, tuple[Unitary2x2, Unitary2x2]] = {
-    BellOutcome.PHI_PLUS: (IDENTITY, IDENTITY),
-    BellOutcome.PHI_MINUS: (IDENTITY, PAULI_Z),
-    BellOutcome.PSI_PLUS: (PAULI_X, PAULI_X),
-    BellOutcome.PSI_MINUS: (PAULI_X, ZX),
+    outcome: tuple(NAMED_UNITARIES[name] for name in names)
+    for outcome, names in BELL_CORRECTION_NAMES.items()
 }
-
-# Outcome -> correction on B, applied after Charlie's message.
 CHARLIE_CORRECTION_TABLE: dict[CharlieOutcome, Unitary2x2] = {
-    CharlieOutcome.PLUS: IDENTITY,
-    CharlieOutcome.MINUS: PAULI_Z,
+    outcome: NAMED_UNITARIES[name] for outcome, name in CHARLIE_CORRECTION_NAMES.items()
 }
 
 
@@ -247,13 +240,6 @@ def event_line(event: TraceEvent) -> str:
     raise TypeError(f"unknown trace event {event!r}")
 
 
-def _parse_payload(text: str) -> Union[BellOutcome, CharlieOutcome]:
-    try:
-        return BellOutcome(text)
-    except ValueError:
-        return CharlieOutcome(text)
-
-
 def parse_event_line(line: str) -> TraceEvent:
     """Inverse of :func:`event_line`."""
     kind, _, rest = line.strip().partition(" ")
@@ -277,7 +263,7 @@ def parse_event_line(line: str) -> TraceEvent:
             seq=int(fields["seq"]),
             sender=Role(fields["sender"]),
             recipients=frozenset(Role(r) for r in fields["recipients"].split(",")),
-            payload=_parse_payload(fields["payload"]),
+            payload=parse_payload(fields["payload"]),
         )
     raise ValueError(f"unknown trace line: {line!r}")
 

@@ -13,10 +13,11 @@ never mutates its input, so values are safe to hand between threads.
 from __future__ import annotations
 
 import random
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .vocab import IDENTITY_NAME, BellOutcome, CharlieOutcome  # noqa: F401 (re-exported)
 
 # Tolerance policy, shared by the whole package:
 #   ATOL_ALGEBRAIC  for identities that hold exactly up to one rounding step
@@ -123,7 +124,7 @@ class Unitary2x2:
 
 # The four local corrections appearing in the protocol, in ket-bra form:
 #   I,  Z = |0><0| - |1><1|,  X = |0><1| + |1><0|,  ZX = |0><1| - |1><0|.
-IDENTITY = Unitary2x2([[1, 0], [0, 1]], name="I")
+IDENTITY = Unitary2x2([[1, 0], [0, 1]], name=IDENTITY_NAME)
 PAULI_X = Unitary2x2([[0, 1], [1, 0]], name="X")
 PAULI_Z = Unitary2x2([[1, 0], [0, -1]], name="Z")
 ZX = Unitary2x2([[0, 1], [-1, 0]], name="ZX")
@@ -202,22 +203,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.entries.tolist()})"
-
-
-class BellOutcome(Enum):
-    """The four Bell-measurement results, in sampling order."""
-
-    PHI_PLUS = "PhiPlus"    # (|00> + |11>)/sqrt(2)
-    PHI_MINUS = "PhiMinus"  # (|00> - |11>)/sqrt(2)
-    PSI_PLUS = "PsiPlus"    # (|01> + |10>)/sqrt(2)
-    PSI_MINUS = "PsiMinus"  # (|01> - |10>)/sqrt(2)
-
-
-class CharlieOutcome(Enum):
-    """Results of the supervisor's (|0> ± |1>)/sqrt(2) measurement, in sampling order."""
-
-    PLUS = "Plus"
-    MINUS = "Minus"
 
 
 BELL_VECTORS = {

@@ -622,3 +622,31 @@ def test_a_party_that_floods_stderr_and_fails_is_reaped_and_reported(tmp_path, m
     (problem,) = report.problems
     assert problem.startswith("party bob exited with 3, stderr ends 'xxx")
     assert problem.endswith(" last words'")
+
+
+def test_orchestrate_needs_no_pythonpath(tmp_path, monkeypatch):
+    # The parties import the ghztp this process runs, wherever it came from.
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    report = orchestrate(SIGNAL, seed=0, timeout=5.0, transcript_dir=tmp_path)
+    assert report.match, report.problems
+
+
+def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
+    popen = subprocess.Popen
+
+    def spawn_failing_bob(argv, **kwargs):
+        if "bob" in argv:
+            argv = [sys.executable, "-c", "import sys; sys.exit('bob cannot start')"]
+        return popen(argv, **kwargs)
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_failing_bob)
+    report = orchestrate(SIGNAL, seed=0, timeout=2.0, transcript_dir=tmp_path)
+
+    assert not report.match
+    assert (report.stalled_role, report.stalled_at) == ("bob", "Join")
+    # Alice and Charlie, killed while they waited for their Grant, are not named.
+    assert report.problems == [
+        "session stalled at Join",
+        "party bob exited with 1, stderr ends 'bob cannot start'",
+    ]
