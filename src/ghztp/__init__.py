@@ -17,25 +17,7 @@ from .vocab import BellOutcome, CharlieOutcome, Role
 __version__ = "0.1.0"
 
 # Name -> the module that defines it, imported when the name is first used.
-_LAZY = {
-    name: "qsim"
-    for name in (
-        "ATOL_ACCUMULATED",
-        "ATOL_ALGEBRAIC",
-        "DensityMatrix",
-        "ForcedSelector",
-        "ImpossibleOutcomeError",
-        "MIN_FORCED_PROBABILITY",
-        "NORM_REPAIR_TOL",
-        "SeededSelector",
-        "StateVector",
-        "Unitary2x2",
-        "ValidationError",
-    )
-} | {
-    name: "protocol"
-    for name in ("PhaseError", "ProtocolResult", "SessionRegister", "SignalState", "run_protocol")
-}
+_LAZY = {"SignalState": "protocol", "run_protocol": "protocol"}
 
 
 def __getattr__(name):

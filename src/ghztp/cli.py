@@ -4,7 +4,7 @@ Monte-Carlo statistics, and the networked harness.
 Exit codes, used consistently by every subcommand:
   0  success / all checks passed
   1  a check failed (fidelity, z-score, transcript mismatch, protocol error)
-  2  usage error, including invalid amplitudes
+  2  usage error, including invalid amplitudes and an unopenable transcript
   3  a forced outcome has (numerically) zero probability
   4  connection problem (bind, connect, or peer loss)
   5  networked session stalled before completion
@@ -313,6 +313,9 @@ def cmd_net_serve(args) -> int:
             timeout=args.timeout,
         )
     except OSError as exc:
+        if exc.filename:  # open() names its file, bind() names none
+            print(f"cannot open transcript {args.transcript}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return EXIT_CONNECTION
     print(f"READY port={coordinator.port}", flush=True)
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = net_sub.add_parser("serve", help="coordinator: holds the state, writes the transcript")
     add_net_args(serve_p)
     _add_signal_args(serve_p)
-    serve_p.add_argument("--seed", type=int, default=int(env_default("SEED", "0")))
+    serve_p.add_argument("--seed", type=int, default=env_default("SEED", "0"))
     serve_p.add_argument("--transcript", default=env_default("TRANSCRIPT", "ghztp-transcript.log"))
     serve_p.set_defaults(func=cmd_net_serve)
 
@@ -406,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="serve three party processes and compare with the in-process run")
     add_net_args(orch_p)
     _add_signal_args(orch_p)
-    orch_p.add_argument("--seed", type=int, default=int(env_default("SEED", "0")))
+    orch_p.add_argument("--seed", type=int, default=env_default("SEED", "0"))
     orch_p.add_argument("--drop", default=env_default("DROP", None),
                         choices=[r.value for r in Role],
                         help="make this party go silent at its scripted step")

@@ -195,7 +195,11 @@ class Coordinator:
         # Bind first: a port that is taken raises OSError before any file is opened.
         self._server = _Server((host, port), _Handler)
         self._server.coordinator = self  # type: ignore[attr-defined]
-        self._transcript = open(self.transcript_path, "w", buffering=1)
+        try:
+            self._transcript = open(self.transcript_path, "w", buffering=1)
+        except OSError:
+            self._server.server_close()
+            raise
         self._meta(f"session id={self.session_id} seed={seed}")
         self._meta(f"signal alpha={signal.alpha!r} beta={signal.beta!r}")
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
@@ -283,9 +287,10 @@ class Coordinator:
         return role
 
     def detach(self, role: Role) -> None:
+        # Only a party that leaves before its Finish can explain a stall; after
+        # it, whether the line lands before shutdown would vary from run to run.
         with self._lock:
-            if self._streams.get(role) is not None:
-                self._streams.pop(role, None)
+            if self._streams.pop(role, None) is not None and role not in self._finished:
                 self._meta(f"disconnect role={role.value}")
 
     def finish(self, role: Role) -> None:
@@ -343,9 +348,8 @@ class Coordinator:
     # -- ops (lock held) -------------------------------------------------------
 
     def _require_qubits(self, role: Role, qubits) -> list[int]:
-        try:
-            qubits = [int(q) for q in qubits]
-        except (TypeError, ValueError):
+        # A JSON list of integers; a bool is not one, though Python says so.
+        if not isinstance(qubits, list) or not all(type(q) is int for q in qubits):
             raise _SessionError(ERR_FRAME, f"bad qubit list {qubits!r}")
         if not all(q in QUBITS_OF[role] for q in qubits):
             raise _SessionError(
@@ -365,7 +369,7 @@ class Coordinator:
         return {"op": "prepare", "ok": True}
 
     def _op_bell_measure(self, role: Role, body: dict) -> dict:
-        qubits = self._require_qubits(role, body.get("qubits", ()))
+        qubits = self._require_qubits(role, body.get("qubits"))
         if qubits != [QUBIT_D, QUBIT_A]:
             raise _SessionError(ERR_PHASE, f"bell_measure covers the (D, A) pair, got {qubits}")
         return _measured("bell_measure", bell_measure(self._prepared(), self._selector))
@@ -558,9 +562,11 @@ def orchestrate(
     try:
         coordinator = Coordinator(signal, seed, transcript, host, port, timeout)
     except OSError as exc:
+        # open() names its file, bind() names none
+        cause = f"cannot open transcript {transcript}" if exc.filename else f"cannot bind {host}:{port}"
         return ComparisonReport(
             match=False,
-            problems=[f"coordinator failed to start: cannot bind {host}:{port}: {exc}"],
+            problems=[f"coordinator failed to start: {cause}: {exc}"],
             reference_fidelity=reference.fidelity,
             transcript=str(transcript),
         )

@@ -162,15 +162,16 @@ def _run_charlie(stream: MessageStream, qubit: int, stop: str | None) -> None:
 
 
 def env_default(name: str, fallback):
+    # Left a string: argparse applies the flag's type to a string default only
+    # for the subcommand it parses, so a bad value fails that subcommand alone.
     return os.environ.get(f"GHZTP_{name}", fallback)
 
 
 def add_net_args(parser: argparse.ArgumentParser) -> None:
     """The flags every ``net`` subcommand takes."""
     parser.add_argument("--host", default=env_default("HOST", "127.0.0.1"))
-    parser.add_argument("--port", type=int, default=int(env_default("PORT", "0")))
-    parser.add_argument("--timeout", type=float,
-                        default=float(env_default("TIMEOUT", DEFAULT_TIMEOUT)))
+    parser.add_argument("--port", type=int, default=env_default("PORT", "0"))
+    parser.add_argument("--timeout", type=float, default=env_default("TIMEOUT", DEFAULT_TIMEOUT))
 
 
 def add_party_args(parser: argparse.ArgumentParser) -> None:

@@ -204,9 +204,6 @@ class ProtocolTrace:
     def lines(self) -> list[str]:
         return [event_line(e) for e in self.events]
 
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines())
-
     def messages(self) -> list[ClassicalMessage]:
         return [e for e in self.events if isinstance(e, ClassicalMessage)]
 
@@ -266,10 +263,6 @@ def parse_event_line(line: str) -> TraceEvent:
             payload=parse_payload(fields["payload"]),
         )
     raise ValueError(f"unknown trace line: {line!r}")
-
-
-def parse_trace_text(text: str) -> ProtocolTrace:
-    return ProtocolTrace([parse_event_line(line) for line in text.splitlines() if line.strip()])
 
 
 def trace_order_errors(events: list[TraceEvent]) -> list[str]:
@@ -507,19 +500,6 @@ class ProtocolResult:
             "bell_outcome": self.bell_outcome.value,
             "charlie_outcome": self.charlie_outcome.value,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ProtocolResult":
-        return cls(
-            trace=ProtocolTrace([parse_event_line(line) for line in data["trace"]]),
-            bob_state=StateVector._wrap(
-                1, np.array([complex(re, im) for re, im in data["bob_state"]])
-            ),
-            fidelity=float(data["fidelity"]),
-            path_probability=float(data["path_probability"]),
-            bell_outcome=BellOutcome(data["bell_outcome"]),
-            charlie_outcome=CharlieOutcome(data["charlie_outcome"]),
-        )
 
 
 def run_protocol(

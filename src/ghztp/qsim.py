@@ -82,9 +82,6 @@ class StateVector:
         sv.amplitudes = arr
         return sv
 
-    def probability(self, index: int) -> float:
-        return float(abs(self.amplitudes[index]) ** 2)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
@@ -128,9 +125,8 @@ IDENTITY = Unitary2x2([[1, 0], [0, 1]], name=IDENTITY_NAME)
 PAULI_X = Unitary2x2([[0, 1], [1, 0]], name="X")
 PAULI_Z = Unitary2x2([[1, 0], [0, -1]], name="Z")
 ZX = Unitary2x2([[0, 1], [-1, 0]], name="ZX")
-HADAMARD = Unitary2x2([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], name="H")
 
-NAMED_UNITARIES = {u.name: u for u in (IDENTITY, PAULI_X, PAULI_Z, ZX, HADAMARD)}
+NAMED_UNITARIES = {u.name: u for u in (IDENTITY, PAULI_X, PAULI_Z, ZX)}
 
 class MeasurementBasis:
     """Orthonormal single-qubit basis {b0, b1}; outcome k projects onto b_k."""
@@ -162,30 +158,10 @@ class DensityMatrix:
 
     __slots__ = ("dim", "entries")
 
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"DensityMatrix must be square, got shape {arr.shape}")
-        dim = arr.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise ValidationError(f"DensityMatrix dimension {dim} is not a power of 2")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValidationError("DensityMatrix entries must be finite")
-        if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=ATOL_ALGEBRAIC):
-            raise ValidationError("DensityMatrix is not Hermitian")
-        if abs(np.trace(arr).real - 1.0) > ATOL_ACCUMULATED:
-            raise ValidationError(f"DensityMatrix trace {np.trace(arr)} is not 1")
-        if float(np.linalg.eigvalsh(arr).min()) < -ATOL_ACCUMULATED:
-            raise ValidationError("DensityMatrix has a negative eigenvalue")
-        arr.flags.writeable = False
-        self.dim = dim
-        self.entries = arr
-
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DensityMatrix":
         # Trusted Gram-matrix results (m @ m†): Hermitian up to rounding and
-        # positive semidefinite by construction, so skip the eigensolver and
-        # Hermiticity scan the public path runs. The trace is still checked.
+        # positive semidefinite by construction, so only the trace is checked.
         dm = cls.__new__(cls)
         assert abs(np.trace(arr).real - 1.0) <= ATOL_ACCUMULATED
         arr.flags.writeable = False
@@ -257,17 +233,6 @@ class ForcedSelector(OutcomeSelector):
                 f"{probabilities[self.index]} < {MIN_FORCED_PROBABILITY}"
             )
         return self.index
-
-
-def new_basis_state(num_qubits: int, index: int) -> StateVector:
-    """Computational basis state |index> of ``num_qubits`` qubits."""
-    if num_qubits < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    arr = np.zeros(2**num_qubits, dtype=np.complex128)
-    arr[index] = 1.0
-    return StateVector._wrap(num_qubits, arr)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .qsim import (
     ATOL_ACCUMULATED,
@@ -83,15 +83,6 @@ class BranchReport:
             "bob_fidelity": self.bob_fidelity,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BranchReport":
-        return cls(
-            bell=BellOutcome(data["bell"]),
-            charlie=CharlieOutcome(data["charlie"]),
-            probability=float(data["probability"]),
-            bob_fidelity=float(data["bob_fidelity"]),
-        )
-
 
 @dataclass(frozen=True)
 class SecurityReport:
@@ -118,16 +109,6 @@ class SecurityReport:
             "near_basis": self.near_basis,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SecurityReport":
-        entries = [[complex(re, im) for re, im in row] for row in data["rho_bob"]]
-        return cls(
-            rho_bob=DensityMatrix(entries),
-            raw_fidelity=float(data["raw_fidelity"]),
-            unitary_bound=float(data["unitary_bound"]),
-            near_basis=bool(data["near_basis"]),
-        )
-
 
 @dataclass(frozen=True)
 class SweepSummary:
@@ -140,13 +121,7 @@ class SweepSummary:
     max_off_diagonal: float
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "min_bound_excess": self.min_bound_excess,
-            "max_bound_excess": self.max_bound_excess,
-            "max_fidelity_deviation": self.max_fidelity_deviation,
-            "max_off_diagonal": self.max_off_diagonal,
-        }
+        return asdict(self)
 
 
 def enumerate_branches(signal: SignalState) -> list[BranchReport]:

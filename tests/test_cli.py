@@ -16,9 +16,9 @@ from ghztp.cli import (
     UsageError,
     main,
 )
-from ghztp.protocol import ProtocolResult, SignalState, run_protocol
+from ghztp.protocol import SignalState, run_protocol
 from ghztp.qsim import SQRT_HALF, BellOutcome, CharlieOutcome
-from ghztp.verify import BranchReport, SecurityReport
+from ghztp.verify import bob_view_before_charlie, enumerate_branches
 
 
 def run_cli(capsys, *argv):
@@ -98,9 +98,7 @@ def test_run_forced_branch_shows_the_z_correction(capsys):
 def test_run_json_round_trips_and_matches_in_process_result(capsys):
     code, out, _ = run_cli(capsys, "run", "--preset", "plus", "--seed", "3", "--format", "json")
     assert code == EXIT_OK
-    parsed = ProtocolResult.from_json(json.loads(out))
-    assert parsed == run_protocol(SignalState(SQRT_HALF, SQRT_HALF), seed=3)
-    assert json.loads(json.dumps(parsed.to_json())) == json.loads(out)
+    assert json.loads(out) == run_protocol(SignalState(SQRT_HALF, SQRT_HALF), seed=3).to_json()
 
 
 @pytest.mark.parametrize(
@@ -143,10 +141,8 @@ def test_enumerate_json_is_an_array_of_eight_round_trippable_reports(capsys):
     assert code == EXIT_OK
     body = json.loads(out)
     assert len(body) == 8
-    for entry in body:
-        report = BranchReport.from_json(entry)
-        assert abs(report.probability - 0.125) <= 1e-10
-        assert report.to_json() == entry
+    assert all(abs(entry["probability"] - 0.125) <= 1e-10 for entry in body)
+    assert body == [r.to_json() for r in enumerate_branches(SignalState(0.6, 0.8))]
 
 
 # --- security ------------------------------------------------------------------
@@ -173,9 +169,10 @@ def test_security_json_round_trips(capsys):
     assert code == EXIT_OK
     body = json.loads(out)
     assert [entry["bell"] for entry in body] == [o.value for o in BellOutcome]
-    for entry in body:
-        payload = {k: v for k, v in entry.items() if k != "bell"}
-        assert SecurityReport.from_json(payload).to_json() == payload
+    signal = SignalState(0.6, 0.8)
+    assert body == [
+        {"bell": bell.value, **bob_view_before_charlie(signal, bell).to_json()} for bell in BellOutcome
+    ]
 
 
 def test_security_sweep_reports_tiny_deviations(capsys):
@@ -232,6 +229,20 @@ def test_net_party_reads_role_and_port_from_environment(capsys, monkeypatch):
     assert "connection error" in err
 
 
+@pytest.mark.parametrize("name, flag", [("PORT", "--port"), ("TIMEOUT", "--timeout"),
+                                        ("SEED", "--seed")])
+def test_a_malformed_environment_default_fails_only_the_net_commands(
+    capsys, monkeypatch, name, flag
+):
+    expected = run_cli(capsys, "run", "--seed", "1")
+    monkeypatch.setenv(f"GHZTP_{name}", "abc")
+    assert run_cli(capsys, "run", "--seed", "1") == expected
+    with pytest.raises(SystemExit) as exited:
+        main(["net", "orchestrate"])
+    assert exited.value.code == EXIT_USAGE
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
 def test_net_orchestrate_matches_the_in_process_run(capsys, tmp_path):
     # Preset seed 8's amplitudes moved by one ulp when normalized a second time.
     for signal_args in (["--seed", "7"], ["--preset", "random", "--seed", "8"]):
@@ -278,6 +289,14 @@ def test_net_serve_on_an_occupied_port_exits_4(capsys, tmp_path):
         )
     assert code == EXIT_CONNECTION
     assert "cannot bind" in err
+
+
+def test_net_serve_with_a_transcript_it_cannot_open_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "t.log"
+    code, out, err = run_cli(capsys, "net", "serve", "--transcript", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"cannot open transcript {path}: ")
 
 
 def test_net_orchestrate_on_an_occupied_port_exits_1(capsys, tmp_path):

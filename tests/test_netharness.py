@@ -261,6 +261,20 @@ def test_locality_rejection_leaves_state_untouched(make_coordinator):
         assert result.body["outcome"] == "PhiPlus"
 
 
+@pytest.mark.parametrize("qubits", ["01", [0.5, 1.5], [False, True]],
+                         ids=["string", "floats", "bools"])
+def test_a_qubit_list_must_be_a_json_list_of_integers(make_coordinator, qubits):
+    coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
+    with joined_session(coordinator) as clients:
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+        assert clients[Role.ALICE].recv().body["ok"] is True
+        fingerprint = coordinator.state_fingerprint()
+
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": qubits})
+        expect_error(clients[Role.ALICE], ERR_FRAME)
+        assert coordinator.state_fingerprint() == fingerprint
+
+
 def test_phase_order_is_enforced_over_the_wire(make_coordinator):
     coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
     with joined_session(coordinator) as clients:
@@ -391,6 +405,22 @@ def test_charlies_bell_correction_waits_for_bobs(make_coordinator):
     ]
 
 
+def test_a_correction_nobody_ever_owes_is_refused_at_once(make_coordinator):
+    # Charlie's corrections wait for Bob's, but a Hadamard is never due.
+    coordinator = make_coordinator(seed=SEED_BOB_OWES_X, timeout=5.0)
+    with joined_session(coordinator) as clients:
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+        clients[Role.ALICE].recv()
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
+        clients[Role.ALICE].recv()
+        start = time.monotonic()
+        clients[Role.CHARLIE].send(
+            Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 3, "unitary": "H"}
+        )
+        expect_error(clients[Role.CHARLIE], ERR_PHASE)
+        assert time.monotonic() - start < 1.0
+
+
 def test_charlie_measurement_times_out_when_bob_never_corrects(make_coordinator):
     coordinator = make_coordinator(seed=SEED_BOB_OWES_X, timeout=0.5)
     with joined_session(coordinator) as clients:
@@ -411,7 +441,7 @@ def test_charlie_measurement_times_out_when_bob_never_corrects(make_coordinator)
 # --- scripted parties end to end ---------------------------------------------
 
 
-def run_full_session(make_coordinator, seed):
+def run_full_session(make_coordinator, seed, linger=0.0):
     coordinator = make_coordinator(seed=seed)
     results = {}
     threads = [start_party(role, coordinator.port, results) for role in Role]
@@ -419,6 +449,7 @@ def run_full_session(make_coordinator, seed):
         thread.join(10.0)
     assert coordinator.wait(5.0), f"session did not complete: {results}"
     assert results == {role: 0 for role in Role}
+    time.sleep(linger)
     coordinator.shutdown()
     return read_transcript(coordinator.transcript_path)
 
@@ -445,6 +476,14 @@ def test_all_corrections_cross_the_wire_when_due(make_coordinator):
     assert [e.unitary for e in events if isinstance(e, BobCorrected)] == ["Z"]
 
 
+def test_a_completed_session_logs_no_disconnect(make_coordinator):
+    # Every party hangs up after its Finish, and the coordinator has read each
+    # EOF before shutdown; such a disconnect explains nothing.
+    meta, _ = run_full_session(make_coordinator, SEED_ALL_CORRECTIONS, linger=0.2)
+    assert "session complete" in meta
+    assert not [line for line in meta if line.startswith("disconnect")]
+
+
 def test_dropped_charlie_stalls_the_session_before_bob_finishes(make_coordinator):
     coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS)
     results = {}
@@ -461,6 +500,7 @@ def test_dropped_charlie_stalls_the_session_before_bob_finishes(make_coordinator
     coordinator.shutdown()
     meta, events = read_transcript(coordinator.transcript_path)
     assert any(line == "session incomplete" for line in meta)
+    assert "disconnect role=charlie" in meta  # before completion it explains the stall
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
     assert infer_stall(reference, meta, events) == ("charlie", "CharlieMeasure")
     assert not any(isinstance(e, Finished) for e in events)
@@ -594,6 +634,29 @@ def test_orchestrate_on_an_occupied_port_reports_that_the_coordinator_failed(tmp
     (problem,) = report.problems
     assert problem.startswith("coordinator failed to start:") and "cannot bind" in problem
     assert report.stalled_at is None
+
+
+def test_a_transcript_that_cannot_be_opened_releases_the_port(tmp_path):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    path = tmp_path / "missing" / "t.log"
+    with pytest.raises(OSError) as raised:
+        Coordinator(SIGNAL, seed=0, transcript_path=path, port=port)
+    assert raised.value.filename == str(path)
+    # ``raised`` keeps the half-built Coordinator alive through its traceback,
+    # so the port is free only if the Coordinator closed its listening socket.
+    with socket.socket() as again:
+        again.bind(("127.0.0.1", port))
+
+
+def test_orchestrate_names_a_transcript_it_cannot_open(tmp_path):
+    transcript = tmp_path / "net-transcript.log"
+    transcript.mkdir()  # open() for writing fails: it is a directory
+    report = orchestrate(SIGNAL, seed=0, timeout=5.0, transcript_dir=tmp_path)
+    assert not report.match
+    (problem,) = report.problems
+    assert problem.startswith(f"coordinator failed to start: cannot open transcript {transcript}: ")
 
 
 # Plays Bob's part in full, then floods stderr past a pipe's 64 KiB and fails.

@@ -32,6 +32,13 @@ def imported_modules(importtime_log: str) -> set[str]:
     }
 
 
+def test_every_name_the_package_exports_resolves():
+    # The numpy-backed names are bound on first use, so a stale entry would
+    # otherwise fail only when someone uses it.
+    for name in ghztp.__all__:
+        assert getattr(ghztp, name) is not None, name
+
+
 def test_a_party_process_never_imports_numpy(tmp_path):
     coordinator = Coordinator(SignalState(0.6, 0.8), seed=0, transcript_path=tmp_path / "t.log",
                               timeout=10.0)

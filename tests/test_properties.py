@@ -15,13 +15,14 @@ from ghztp.protocol import (
 )
 from ghztp.qsim import (
     COMPUTATIONAL,
-    HADAMARD,
     NAMED_UNITARIES,
     PLUS_MINUS,
+    SQRT_HALF,
     BellOutcome,
     CharlieOutcome,
     ForcedSelector,
     StateVector,
+    Unitary2x2,
     apply_single,
     basis_probabilities,
     bell_probabilities,
@@ -31,6 +32,8 @@ from ghztp.qsim import (
 )
 from ghztp.verify import bob_view_before_charlie
 from tests.oracles import partial_trace_matrix
+
+H_GATE = Unitary2x2([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], name="H")
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -61,15 +64,15 @@ def states(draw, num_qubits=3):
 @given(states(num_qubits=2), states(num_qubits=1))
 def test_tensor_product_preserves_normalization(left, right):
     combined = tensor(left, right)
-    total = sum(combined.probability(i) for i in range(2**combined.num_qubits))
+    total = sum(abs(a) ** 2 for a in combined.amplitudes)
     assert abs(total - 1.0) <= 1e-12
 
 
 @given(states(), st.integers(0, 2), st.sampled_from(["X", "Z", "ZX", "H"]))
 def test_unitaries_preserve_normalization(state, qubit, name):
-    unitary = HADAMARD if name == "H" else NAMED_UNITARIES[name]
+    unitary = H_GATE if name == "H" else NAMED_UNITARIES[name]
     moved = apply_single(state, qubit, unitary)
-    total = sum(moved.probability(i) for i in range(2**moved.num_qubits))
+    total = sum(abs(a) ** 2 for a in moved.amplitudes)
     assert abs(total - 1.0) <= 1e-12
 
 
@@ -119,7 +122,7 @@ def test_every_branch_teleports_every_signal(signal, bell, charlie):
 def test_seeded_runs_are_reproducible_and_well_ordered(signal, seed):
     first = run_protocol(signal, seed=seed)
     second = run_protocol(signal, seed=seed)
-    assert first.trace.text() == second.trace.text()
+    assert first.trace.lines() == second.trace.lines()
     assert first.bob_state == second.bob_state  # exact amplitude bits
     assert trace_order_errors(first.trace.events) == []
 

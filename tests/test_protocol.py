@@ -35,7 +35,6 @@ from ghztp.protocol import (
     GhzPrepared,
     Phase,
     PhaseError,
-    ProtocolResult,
     Role,
     SignalPrepared,
     SignalState,
@@ -47,7 +46,6 @@ from ghztp.protocol import (
     correct,
     event_line,
     parse_event_line,
-    parse_trace_text,
     prepare_ghz,
     prepare_signal,
     random_signal,
@@ -294,7 +292,7 @@ def test_run_requires_exactly_one_branch_policy():
 def test_seeded_runs_are_byte_identical():
     a = run_protocol(SignalState(ALPHA, BETA), seed=123)
     b = run_protocol(SignalState(ALPHA, BETA), seed=123)
-    assert a.trace.text() == b.trace.text()
+    assert a.trace.lines() == b.trace.lines()
     assert a.bob_state == b.bob_state  # exact bits, not just close
     assert a.fidelity == b.fidelity
 
@@ -329,7 +327,7 @@ def test_trace_order_validator_flags_swaps():
 
 def test_trace_text_round_trip():
     result = run_protocol(SignalState(ALPHA, BETA), seed=99)
-    assert parse_trace_text(result.trace.text()).events == result.trace.events
+    assert [parse_event_line(line) for line in result.trace.lines()] == result.trace.events
 
 
 def test_event_line_formats_are_stable():
@@ -343,11 +341,6 @@ def test_event_line_formats_are_stable():
 def test_message_sender_cannot_receive_own_message():
     with pytest.raises(ValidationError):
         ClassicalMessage(1, Role.ALICE, frozenset({Role.ALICE}), BellOutcome.PHI_PLUS)
-
-
-def test_protocol_result_json_round_trip():
-    result = run_protocol(SignalState(ALPHA, BETA), seed=11)
-    assert ProtocolResult.from_json(result.to_json()) == result
 
 
 def test_seeded_selector_sharing_consumes_in_order():

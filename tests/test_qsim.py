@@ -15,9 +15,7 @@ from ghztp.qsim import (
     BELL_VECTORS,
     BellOutcome,
     COMPUTATIONAL,
-    DensityMatrix,
     ForcedSelector,
-    HADAMARD,
     IDENTITY,
     ImpossibleOutcomeError,
     MeasurementBasis,
@@ -37,11 +35,16 @@ from ghztp.qsim import (
     fidelity_pure,
     measure_bell,
     measure_in_basis,
-    new_basis_state,
     partial_trace,
     pure_state_from_density,
     tensor,
 )
+
+
+H_GATE = Unitary2x2([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], name="H")
+
+# Either half of a Bell pair: the maximally mixed qubit I/2.
+MIXED = partial_trace(StateVector(2, [SQRT_HALF, 0, 0, SQRT_HALF]), [0])
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -54,7 +57,7 @@ def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
 
 def test_constructor_renormalizes_within_band():
     sv = StateVector(1, [1.0 + 3e-7, 0.0])
-    assert sv.probability(0) == pytest.approx(1.0, abs=1e-12)
+    assert abs(sv.amplitudes[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(sv.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -73,14 +76,14 @@ def test_constructor_rejects_nonfinite_and_bad_shape():
 
 
 def test_amplitudes_are_read_only():
-    sv = new_basis_state(2, 0)
+    sv = StateVector(2, [1, 0, 0, 0])
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0
 
 
 def test_equality_is_exact_bits():
-    a = new_basis_state(1, 0)
-    b = new_basis_state(1, 0)
+    a = StateVector(1, [1, 0])
+    b = StateVector(1, [1, 0])
     assert a == b and hash(a) == hash(b)
     assert a != StateVector(1, [SQRT_HALF, SQRT_HALF])
 
@@ -122,7 +125,7 @@ def test_apply_single_matches_full_matrix_oracle():
     rng = np.random.default_rng(11)
     for num_qubits in (1, 2, 4):
         for qubit in range(num_qubits):
-            for u in (PAULI_X, PAULI_Z, HADAMARD, ZX):
+            for u in (PAULI_X, PAULI_Z, H_GATE, ZX):
                 sv = random_state(rng, num_qubits)
                 got = apply_single(sv, qubit, u).amplitudes
                 full = oracles.full_single_qubit_matrix(u.matrix, qubit, num_qubits)
@@ -130,13 +133,13 @@ def test_apply_single_matches_full_matrix_oracle():
 
 
 def test_hadamard_on_zero():
-    got = apply_single(new_basis_state(1, 0), 0, HADAMARD)
+    got = apply_single(StateVector(1, [1, 0]), 0, H_GATE)
     assert np.allclose(got.amplitudes, [SQRT_HALF, SQRT_HALF], atol=ATOL_ALGEBRAIC)
 
 
 def test_tensor_is_kron_with_first_factor_significant():
     a = StateVector(1, [0.6, 0.8])
-    b = new_basis_state(1, 1)
+    b = StateVector(1, [0, 1])
     sv = tensor(a, b)
     assert sv.num_qubits == 2
     assert np.allclose(sv.amplitudes, [0, 0.6, 0, 0.8], atol=ATOL_ALGEBRAIC)
@@ -168,16 +171,13 @@ def test_measure_in_basis_projects_and_renormalizes():
         # Repeating the same measurement is now deterministic.
         repeat = basis_probabilities(post, 0, COMPUTATIONAL)
         assert repeat[forced] == pytest.approx(1.0, abs=ATOL_ACCUMULATED)
-        want = (
-            sv.probability(0b10) + sv.probability(0b11)
-            if forced
-            else sv.probability(0b00) + sv.probability(0b01)
-        )
+        born = abs(sv.amplitudes) ** 2
+        want = born[0b10] + born[0b11] if forced else born[0b00] + born[0b01]
         assert p == pytest.approx(want, abs=ATOL_ALGEBRAIC)
 
 
 def test_forced_selector_rejects_impossible_outcome():
-    sv = new_basis_state(1, 0)  # outcome 1 has probability exactly 0
+    sv = StateVector(1, [1, 0])  # outcome 1 has probability exactly 0
     with pytest.raises(ImpossibleOutcomeError):
         measure_in_basis(sv, 0, COMPUTATIONAL, ForcedSelector(1))
     with pytest.raises(ValueError):
@@ -231,11 +231,12 @@ def test_bell_probabilities_sum_to_one():
 def test_measure_bell_post_state_factorizes():
     # Forcing PhiPlus on a product state |+>|+> x |00> keeps the rest intact.
     plus = StateVector(1, [SQRT_HALF, SQRT_HALF])
-    sv = tensor(tensor(plus, plus), new_basis_state(2, 0))
+    zeros = StateVector(2, [1, 0, 0, 0])
+    sv = tensor(tensor(plus, plus), zeros)
     outcome, p, post = measure_bell(sv, 0, 1, ForcedSelector(0))
     assert outcome is BellOutcome.PHI_PLUS
     assert p == pytest.approx(0.5, abs=ATOL_ACCUMULATED)
-    want = np.kron(BELL_VECTORS[BellOutcome.PHI_PLUS], new_basis_state(2, 0).amplitudes)
+    want = np.kron(BELL_VECTORS[BellOutcome.PHI_PLUS], zeros.amplitudes)
     assert np.allclose(post.amplitudes, want, atol=ATOL_ACCUMULATED)
 
 
@@ -252,23 +253,14 @@ def test_partial_trace_matches_loop_oracle():
 
 
 def test_partial_trace_of_product_state_is_pure_factor():
-    sv = tensor(StateVector(1, [0.6, 0.8]), new_basis_state(1, 0))
+    sv = tensor(StateVector(1, [0.6, 0.8]), StateVector(1, [1, 0]))
     rho = partial_trace(sv, [0])
     want = np.array([[0.36, 0.48], [0.48, 0.64]])
     assert np.allclose(rho.entries, want, atol=ATOL_ACCUMULATED)
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValidationError):
-        DensityMatrix([[0.5, 0.1], [0.2, 0.5]])  # not Hermitian
-    with pytest.raises(ValidationError):
-        DensityMatrix([[0.9, 0.0], [0.0, 0.0]])  # trace != 1
-    with pytest.raises(ValidationError):
-        DensityMatrix([[1.5, 0.0], [0.0, -0.5]])  # negative eigenvalue
-
-
 def test_fidelity_pure_of_maximally_mixed_is_half():
-    rho = DensityMatrix(np.eye(2) / 2)
+    rho = MIXED
     rng = np.random.default_rng(37)
     for _ in range(5):
         assert fidelity_pure(rho, random_state(rng, 1)) == pytest.approx(0.5, abs=1e-12)
@@ -276,18 +268,18 @@ def test_fidelity_pure_of_maximally_mixed_is_half():
 
 def test_fidelity_pure_dimension_mismatch():
     with pytest.raises(ValueError):
-        fidelity_pure(DensityMatrix(np.eye(2) / 2), new_basis_state(2, 0))
+        fidelity_pure(MIXED, StateVector(2, [1, 0, 0, 0]))
 
 
 def test_pure_state_round_trip_up_to_phase():
     rng = np.random.default_rng(41)
     for _ in range(10):
         sv = random_state(rng, 2)
-        back = pure_state_from_density(partial_trace(tensor(sv, new_basis_state(1, 0)), [0, 1]))
+        back = pure_state_from_density(partial_trace(tensor(sv, StateVector(1, [1, 0])), [0, 1]))
         overlap = abs(np.vdot(back.amplitudes, sv.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pure_state_from_density_rejects_mixed():
     with pytest.raises(ValidationError):
-        pure_state_from_density(DensityMatrix(np.eye(2) / 2))
+        pure_state_from_density(MIXED)

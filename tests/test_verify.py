@@ -18,10 +18,10 @@ from ghztp.qsim import (
     BELL_VECTORS,
     BellOutcome,
     CharlieOutcome,
-    DensityMatrix,
     ForcedSelector,
     PLUS_MINUS,
     SQRT_HALF,
+    StateVector,
     ValidationError,
     fidelity_pure,
     partial_trace,
@@ -104,11 +104,6 @@ def test_branch_probability_matches_direct_projection_oracle():
             assert report.probability == pytest.approx(bell_probs[bell] * p_c, abs=1e-10)
 
 
-def test_branch_report_json_round_trip():
-    for r in enumerate_branches(SIGNAL):
-        assert BranchReport.from_json(r.to_json()) == r
-
-
 def test_branch_report_rejects_negative_probability():
     with pytest.raises(ValidationError):
         BranchReport(BellOutcome.PHI_PLUS, CharlieOutcome.PLUS, -0.1, 1.0)
@@ -177,13 +172,12 @@ def test_charlie_view_is_equally_uninformative():
 
 
 def test_closed_form_eigenvalue_matches_library_solver():
-    # Dual route: hand formula vs LAPACK, on assorted valid density matrices.
+    # Dual route: hand formula vs LAPACK, on assorted valid density matrices:
+    # one qubit of a random two-qubit state is in a random mixed state.
     rng = np.random.default_rng(10)
     for _ in range(50):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        w = float(rng.uniform(0, 1))
-        rho = DensityMatrix(w * np.outer(v, v.conj()) + (1 - w) * np.eye(2) / 2)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = partial_trace(StateVector(2, v / np.linalg.norm(v)), [0])
         got = hermitian_max_eigenvalue_2x2(rho)
         want = float(np.linalg.eigvalsh(rho.entries)[-1])
         assert got == pytest.approx(want, abs=1e-12)
@@ -191,18 +185,13 @@ def test_closed_form_eigenvalue_matches_library_solver():
 
 def test_eigenvalue_closed_form_rejects_larger_matrices():
     with pytest.raises(ValueError):
-        hermitian_max_eigenvalue_2x2(DensityMatrix(np.eye(4) / 4))
-
-
-def test_security_report_json_round_trip():
-    report = bob_view_before_charlie(SIGNAL, BellOutcome.PHI_MINUS)
-    assert SecurityReport.from_json(report.to_json()) == report
+        hermitian_max_eigenvalue_2x2(partial_trace(StateVector(2, [1, 0, 0, 0]), [0, 1]))
 
 
 def test_security_report_orders_its_fields():
     with pytest.raises(ValidationError):
         SecurityReport(
-            rho_bob=DensityMatrix(np.eye(2) / 2),
+            rho_bob=bob_view_before_charlie(BALANCED, BellOutcome.PHI_PLUS).rho_bob,
             raw_fidelity=0.9,
             unitary_bound=0.5,
             near_basis=False,
