@@ -47,6 +47,7 @@ from .party import (
     add_party_args,
     cmd_net_party,
     env_default,
+    one_of,
 )
 
 EXIT_OK = 0
@@ -410,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_net_args(orch_p)
     _add_signal_args(orch_p)
     orch_p.add_argument("--seed", type=int, default=env_default("SEED", "0"))
+    roles = [r.value for r in Role]
     orch_p.add_argument("--drop", default=env_default("DROP", None),
-                        choices=[r.value for r in Role],
+                        choices=roles, type=one_of(roles),
                         help="make this party go silent at its scripted step")
     orch_p.add_argument("--transcript-dir", default=env_default("TRANSCRIPT_DIR", None))
     _add_format_arg(orch_p)

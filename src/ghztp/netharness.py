@@ -121,6 +121,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 try:
                     if message.kind is Kind.HELLO:
+                        if role is not None:  # one connection plays one role
+                            raise _SessionError(ERR_FRAME, f"already joined as {role.value}")
                         role = coord.hello(message.body, stream)
                     elif role is None:
                         raise _SessionError(ERR_PHASE, "say Hello before anything else")

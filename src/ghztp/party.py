@@ -13,7 +13,7 @@ import argparse
 import os
 import socket
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .vocab import (
     BELL_CORRECTION_NAMES,
@@ -40,12 +40,12 @@ class PartyError(RuntimeError):
     """The coordinator sent something the role's script cannot accept."""
 
 
-@dataclass
-class PartyConfig:
-    host: str = "127.0.0.1"
-    port: int = 0
-    timeout: float = DEFAULT_TIMEOUT
-    stop_before: str | None = None  # one of STOP_STAGES
+# Where the coordinator listens, how long to wait on it, and the step of
+# STOP_STAGES to go silent before (None: play the whole script).
+PartyConfig = namedtuple(
+    "PartyConfig", "host port timeout stop_before",
+    defaults=("127.0.0.1", 0, DEFAULT_TIMEOUT, None),
+)
 
 
 def _expect(stream: MessageStream, kind: Kind, op: str | None = None) -> WireMessage:
@@ -167,6 +167,20 @@ def env_default(name: str, fallback):
     return os.environ.get(f"GHZTP_{name}", fallback)
 
 
+def one_of(choices):
+    """The type of a flag with ``choices``. argparse applies a flag's type to
+    an environment default, but checks its choices only on the command line."""
+
+    def check(value: str) -> str:
+        if value not in choices:
+            # argparse's own words for a bad choice on the command line
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {listed})")
+        return value
+
+    return check
+
+
 def add_net_args(parser: argparse.ArgumentParser) -> None:
     """The flags every ``net`` subcommand takes."""
     parser.add_argument("--host", default=env_default("HOST", "127.0.0.1"))
@@ -176,10 +190,11 @@ def add_net_args(parser: argparse.ArgumentParser) -> None:
 
 def add_party_args(parser: argparse.ArgumentParser) -> None:
     add_net_args(parser)
+    roles = [r.value for r in Role]
     parser.add_argument("--role", required=env_default("ROLE", None) is None,
-                        default=env_default("ROLE", None), choices=[r.value for r in Role])
+                        default=env_default("ROLE", None), choices=roles, type=one_of(roles))
     parser.add_argument("--stop-before", default=env_default("STOP_BEFORE", None),
-                        choices=STOP_STAGES,
+                        choices=STOP_STAGES, type=one_of(STOP_STAGES),
                         help="go silent right before this step (negative tests)")
 
 

@@ -10,7 +10,6 @@ its matrix.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Union
 
 
 class Role(Enum):
@@ -59,7 +58,7 @@ CHARLIE_CORRECTION_NAMES: dict[CharlieOutcome, str] = {
 }
 
 
-def parse_payload(text: str) -> Union[BellOutcome, CharlieOutcome]:
+def parse_payload(text: str) -> BellOutcome | CharlieOutcome:
     """The outcome a classical message carries, from its name."""
     try:
         return BellOutcome(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 MAX_LINE_BYTES = 64 * 1024
@@ -36,12 +36,9 @@ class Kind(Enum):
     ERROR = "Error"
 
 
-@dataclass(frozen=True)
-class WireMessage:
-    seq: int
-    session_id: str
-    kind: Kind
-    body: dict
+# seq: int, session_id: str, kind: Kind, body: dict. A namedtuple, not a
+# dataclass: a party process then never imports dataclasses and inspect.
+WireMessage = namedtuple("WireMessage", "seq session_id kind body")
 
 
 def encode(message: WireMessage) -> bytes:

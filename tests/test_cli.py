@@ -243,6 +243,29 @@ def test_a_malformed_environment_default_fails_only_the_net_commands(
     assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+def usage_error_line(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == EXIT_USAGE
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("name, flag, argv", [
+    ("DROP", "--drop", ["net", "orchestrate"]),
+    ("ROLE", "--role", ["net", "party", "--port", "1"]),
+    ("STOP_BEFORE", "--stop-before", ["net", "party", "--port", "1", "--role", "bob"]),
+], ids=["drop", "role", "stop-before"])
+def test_an_environment_default_outside_the_choices_is_a_usage_error(
+    capsys, monkeypatch, name, flag, argv
+):
+    # argparse checks choices only on the command line; a default from the
+    # environment must fail the same way, not crash or be ignored.
+    expected = usage_error_line(capsys, *argv, flag, "eve")
+    assert f"argument {flag}: invalid choice: 'eve' (choose from " in expected
+    monkeypatch.setenv(f"GHZTP_{name}", "eve")
+    assert usage_error_line(capsys, *argv) == expected
+
+
 def test_net_orchestrate_matches_the_in_process_run(capsys, tmp_path):
     # Preset seed 8's amplitudes moved by one ulp when normalized a second time.
     for signal_args in (["--seed", "7"], ["--preset", "random", "--seed", "8"]):

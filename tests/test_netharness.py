@@ -180,6 +180,22 @@ def test_duplicate_role_is_refused_and_disconnected(make_coordinator):
         second.close()
 
 
+def test_a_second_hello_on_one_connection_is_refused_and_disconnected(make_coordinator):
+    coordinator = make_coordinator()
+    hoarder = Client(coordinator.port)
+    try:
+        hoarder.send(Kind.HELLO, {"role": "alice"})
+        hoarder.send(Kind.HELLO, {"role": "bob"})
+        expect_error(hoarder, ERR_FRAME)
+        assert hoarder.recv() is None  # coordinator hung up
+    finally:
+        hoarder.close()
+    # Bob was never bound and Alice left with the connection: three new
+    # clients each get their role and a Grant.
+    with joined_session(coordinator):
+        pass
+
+
 def test_garbage_line_closes_that_connection_only(make_coordinator):
     coordinator = make_coordinator()
     alice = Client(coordinator.port)

@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import ghztp
-from ghztp import cli
+from ghztp import cli, netharness
 from ghztp.netharness import Coordinator
 from ghztp.protocol import Role, SignalState
 
 # What a party never needs: the simulator, the protocol engine and the full CLI.
 NUMPY_LAYERS = {"numpy", "ghztp.qsim", "ghztp.protocol", "ghztp.cli"}
+
+# Nor the stdlib behind dataclasses and typing.
+HEAVY_STDLIB = {"dataclasses", "typing", "inspect"}
 
 
 def child_env():
@@ -30,6 +33,27 @@ def imported_modules(importtime_log: str) -> set[str]:
         for line in importtime_log.splitlines()
         if line.startswith("import time:")
     }
+
+
+def imported_by_ghztp(importtime_log: str) -> set[str]:
+    """The ghztp modules in ``python -X importtime`` output, and every module
+    imported while one of them was being imported. A module that ``site``
+    imported first does not show up again."""
+    entries = [
+        (len(name) - len(name.lstrip()), name.strip())
+        for name in (line.rsplit("|", 1)[1] for line in importtime_log.splitlines()
+                     if line.startswith("import time:"))
+    ]
+    found = set()
+    for i, (indent, name) in enumerate(entries):
+        if name.split(".")[0] == "ghztp":
+            found.add(name)
+            # A module's line follows the lines of what it imported, indented deeper.
+            j = i
+            while j > 0 and entries[j - 1][0] > indent:
+                j -= 1
+                found.add(entries[j][1])
+    return found
 
 
 def test_every_name_the_package_exports_resolves():
@@ -63,14 +87,54 @@ def test_a_party_process_never_imports_numpy(tmp_path):
         assert "ghztp.wire" in modules  # the log was read
 
 
-@pytest.mark.parametrize("args, code", [(["--help"], 0), ([], 2)], ids=["help", "no-role"])
-def test_python_m_ghztp_net_party_prints_what_cli_main_prints(args, code, capsys, monkeypatch):
+def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_path, monkeypatch):
+    popen = subprocess.Popen
+    logs = {}
+
+    def importtime_popen(argv, **kwargs):
+        proc = popen([argv[0], "-X", "importtime", *argv[1:]], **kwargs)
+        role, communicate = argv[argv.index("--role") + 1], proc.communicate
+
+        def communicate_and_keep_stderr(*args, **kwargs):
+            # orchestrate keeps only the tail of a party's stderr
+            out, logs[role] = communicate(*args, **kwargs)
+            return out, logs[role]
+
+        proc.communicate = communicate_and_keep_stderr
+        return proc
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", importtime_popen)
+    report = netharness.orchestrate(SignalState(0.6, 0.8), seed=0, timeout=10.0,
+                                    transcript_dir=tmp_path)
+    assert report.match, report.problems
+    assert sorted(logs) == sorted(role.value for role in Role)
+    for role, log in logs.items():
+        modules = imported_by_ghztp(log)
+        assert "ghztp.wire" in modules  # the log was read
+        unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
+        assert not unwanted, (role, sorted(unwanted))
+
+
+@pytest.mark.parametrize("flags, args, env, code", [
+    pytest.param([], ["--help"], {}, 0, id="help"),
+    pytest.param([], [], {}, 2, id="no-role"),
+    pytest.param([], [], {"GHZTP_ROLE": "eve"}, 2, id="env-role"),
+    # -S: a party needs nothing that site processing sets up
+    pytest.param(["-S"], ["--help"], {}, 0, id="help-no-site"),
+    pytest.param(["-S"], [], {}, 2, id="no-role-no-site"),
+    pytest.param(["-S"], [], {"GHZTP_ROLE": "eve"}, 2, id="env-role-no-site"),
+])
+def test_python_m_ghztp_net_party_prints_what_cli_main_prints(
+    flags, args, env, code, capsys, monkeypatch
+):
     monkeypatch.delenv("GHZTP_ROLE", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exited:
         cli.main(["net", "party", *args])
     expected = capsys.readouterr()
-    done = subprocess.run([sys.executable, "-m", "ghztp", "net", "party", *args],
+    done = subprocess.run([sys.executable, *flags, "-m", "ghztp", "net", "party", *args],
                           capture_output=True, text=True, env=child_env())
     assert exited.value.code == code
     assert (done.returncode, done.stdout, done.stderr) == (code, expected.out, expected.err)
