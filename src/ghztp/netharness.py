@@ -16,18 +16,26 @@ the same order as the in-process run (Bell draw, then Charlie draw), and it
 holds Charlie's Bell correction until Bob has made his. So for a given
 (signal, seed) the networked transcript is the in-process trace, minus the
 identity corrections that never cross the wire, byte for byte.
+
+One thread serves a session: a ``selectors`` loop over the listening socket
+and every party's connection, which handles one message at a time. Shutdown
+wakes that loop, joins it, and closes the listener and every connection at
+once, with no poll to wait out.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import socketserver
+import selectors
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import uuid
+from collections import deque, namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
@@ -65,6 +73,7 @@ from .wire import (
     ERR_LOCALITY,
     ERR_PHASE,
     ERR_ROLE_TAKEN,
+    MAX_LINE_BYTES,
     FrameError,
     Kind,
     MessageStream,
@@ -72,6 +81,10 @@ from .wire import (
 
 # Characters of a party's stderr that orchestrate reports when the party fails.
 STDERR_TAIL = 500
+
+# Characters of an Error's text a party is sent. The text may quote the
+# request, and the Error must still fit in one line under the wire's cap.
+MAX_ERROR_TEXT = 1000
 
 # The directory this ghztp was imported from; party children import it from there too.
 PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
@@ -103,55 +116,49 @@ class _SessionError(Exception):
         self.code = code
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    disable_nagle_algorithm = True  # small replies must not wait for a delayed ACK
-
-    def handle(self):
-        coord: Coordinator = self.server.coordinator  # type: ignore[attr-defined]
-        stream = MessageStream(self.rfile, self.wfile, session_id=coord.session_id)
-        role: Role | None = None
-        try:
-            while True:
-                try:
-                    message = stream.recv()
-                except FrameError as exc:
-                    self._safe_error(stream, ERR_FRAME, str(exc))
-                    return
-                if message is None:
-                    return
-                try:
-                    if message.kind is Kind.HELLO:
-                        if role is not None:  # one connection plays one role
-                            raise _SessionError(ERR_FRAME, f"already joined as {role.value}")
-                        role = coord.hello(message.body, stream)
-                    elif role is None:
-                        raise _SessionError(ERR_PHASE, "say Hello before anything else")
-                    elif message.kind is Kind.OP_REQUEST:
-                        coord.op_request(role, message.body, stream)
-                    elif message.kind is Kind.CLASSICAL:
-                        coord.classical(role, message.body)
-                    elif message.kind is Kind.FINISH:
-                        coord.finish(role)
-                    else:
-                        raise _SessionError(ERR_FRAME, f"unexpected kind {message.kind.value}")
-                except _SessionError as exc:
-                    self._safe_error(stream, exc.code, str(exc))
-                    if exc.code in (ERR_FRAME, ERR_ROLE_TAKEN):
-                        return
-        finally:
-            if role is not None:
-                coord.detach(role)
-
-    def _safe_error(self, stream: MessageStream, code: str, text: str) -> None:
-        try:
-            stream.send(Kind.ERROR, {"code": code, "message": text})
-        except OSError:
-            pass
+class _BobFirst(Exception):
+    """Internal: Charlie's valid move must wait until Bob owes no Bell correction."""
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class _Connection:
+    """One party's socket, the bytes it sent that are not yet handled, and
+    the role it joined as.
+
+    It is the write end of its own MessageStream. A send that fails marks it
+    broken instead of raising, and the loop closes it after the message in
+    hand, so one party's dead socket never undoes a move another party made.
+    """
+
+    def __init__(self, sock: socket.socket, session_id: str):
+        self.sock = sock
+        self.stream = MessageStream(None, self, session_id=session_id)
+        self.buffer = bytearray()
+        self.role: Role | None = None
+        self.broken = False
+
+    def write(self, data: bytes) -> None:
+        if not self.broken:
+            try:
+                self.sock.sendall(data)
+            except OSError:  # a reset, or a party that reads nothing for the timeout
+                self.broken = True
+
+    def flush(self) -> None:
+        pass
+
+    def next_line(self) -> bytes | None:
+        """Cut the next line off the buffer as ``readline(MAX_LINE_BYTES + 1)``
+        would read it; None until its newline has arrived."""
+        end = self.buffer.find(b"\n", 0, MAX_LINE_BYTES + 1) + 1
+        if not end and len(self.buffer) <= MAX_LINE_BYTES:
+            return None
+        line = bytes(self.buffer[: end or MAX_LINE_BYTES + 1])
+        del self.buffer[: len(line)]
+        return line
+
+
+# A request of Charlie's held until Bob owes no Bell correction or the deadline passes.
+_Held = namedtuple("_Held", "conn body deadline")
 
 
 def _measured(op: str, event) -> dict:
@@ -167,7 +174,8 @@ class Coordinator:
     needs: locality, who may make which move, relaying, the transcript, and
     holding Charlie's moves until Bob owes no Bell correction, which puts
     every session in the in-process order (Charlie owes a correction whenever
-    Bob does). Every move and transcript write happens under one lock, so the
+    Bob does). One thread serves the session: it accepts the parties and
+    handles every message of every connection, one at a time, so the
     transcript is a total order consistent with each connection's send order.
     """
 
@@ -186,31 +194,39 @@ class Coordinator:
         self.transcript_path = Path(transcript_path)
 
         self._selector = SeededSelector(seed)
-        self._lock = threading.Lock()
-        self._settled = threading.Condition(self._lock)
         self._session: SessionRegister | None = None  # None until prepared
         self._written = 0  # trace events already in the transcript
         self._streams: dict[Role, MessageStream] = {}
         self._finished: set[Role] = set()
         self._done = threading.Event()
+        self._connections: dict[_Connection, None] = {}  # open ones, in accept order
+        self._ready: deque[_Connection] = deque()  # may have lines to handle
+        self._held: _Held | None = None
 
         # Bind first: a port that is taken raises OSError before any file is opened.
-        self._server = _Server((host, port), _Handler)
-        self._server.coordinator = self  # type: ignore[attr-defined]
+        self._listener = socket.socket()
         try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen()
             self._transcript = open(self.transcript_path, "w", buffering=1)
         except OSError:
-            self._server.server_close()
+            self._listener.close()
             raise
         self._meta(f"session id={self.session_id} seed={seed}")
         self._meta(f"signal alpha={signal.alpha!r} beta={signal.beta!r}")
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._listener.setblocking(False)
+        self._wake, self._waker = socket.socketpair()  # shutdown writes to the waker
+        self._poller = selectors.DefaultSelector()
+        self._poller.register(self._listener, selectors.EVENT_READ)
+        self._poller.register(self._wake, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
 
     # -- lifecycle --------------------------------------------------------
 
     @property
     def port(self) -> int:
-        return self._server.server_address[1]
+        return self._listener.getsockname()[1]
 
     def start(self) -> None:
         self._thread.start()
@@ -219,13 +235,21 @@ class Coordinator:
         return self._done.wait(self.timeout if timeout is None else timeout)
 
     def shutdown(self) -> None:
-        with self._lock:
-            if not self._transcript.closed:
-                status = "complete" if self._done.is_set() else "incomplete"
-                self._transcript.write(f"# session {status}\n")
-                self._transcript.close()
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop the loop, close the listener and every connection, and end
+        the transcript. A party cut off here gets no ``# disconnect`` line."""
+        if self._thread.is_alive():
+            self._waker.send(b"\0")
+            self._thread.join()
+        if self._transcript.closed:
+            return
+        for conn in self._connections:
+            conn.sock.close()
+        for sock in (self._listener, self._wake, self._waker):
+            sock.close()
+        self._poller.close()
+        status = "complete" if self._done.is_set() else "incomplete"
+        self._transcript.write(f"# session {status}\n")
+        self._transcript.close()
 
     def serve(self, timeout: float | None = None) -> bool:
         """Run until the session completes or the timeout elapses."""
@@ -237,30 +261,143 @@ class Coordinator:
 
     def state_fingerprint(self) -> int | None:
         """Hash of the exact amplitude bits; None before preparation."""
-        with self._lock:
-            return None if self._session is None else hash(self._session.state)
+        # A move replaces the state, which is immutable, so no lock is needed.
+        session = self._session
+        return None if session is None else hash(session.state)
+
+    # -- the loop ---------------------------------------------------------------
+
+    def _serve(self) -> None:
+        while True:
+            held = self._held
+            timeout = None if held is None else max(0.0, held.deadline - time.monotonic())
+            for key, _ in self._poller.select(timeout):
+                if key.fileobj is self._wake:
+                    return
+                if key.fileobj is self._listener:
+                    self._accept()
+                else:
+                    self._receive(key.data)
+            self._settle()
+            while self._ready:
+                self._process(self._ready.popleft())
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the client gave up before it was accepted
+            return
+        # Bounds every send; small replies must not wait for a delayed ACK.
+        sock.settimeout(self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock, self.session_id)
+        self._connections[conn] = None
+        self._poller.register(sock, selectors.EVENT_READ, conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(MAX_LINE_BYTES)
+        except OSError:  # reset by the party: its stream ends here
+            data = b""
+        if data:
+            conn.buffer += data
+            self._ready.append(conn)
+            return
+        if conn.buffer:
+            self._handle(conn, bytes(conn.buffer))  # refused: the stream ended mid-line
+        if conn in self._connections:
+            self._close(conn)
+
+    def _process(self, conn: _Connection) -> None:
+        """Handle the lines ``conn`` has sent, in order, while it is open and
+        has no request held."""
+        while conn in self._connections and (self._held is None or self._held.conn is not conn):
+            line = conn.next_line()
+            if line is None:
+                return
+            self._handle(conn, line)
+            self._settle()
+
+    def _handle(self, conn: _Connection, line: bytes) -> None:
+        """One message from ``conn``: the move it asks for, or its Error."""
+        try:
+            try:
+                message = conn.stream.accept(line)
+            except FrameError as exc:
+                raise _SessionError(ERR_FRAME, str(exc)) from None
+            if message.kind is Kind.HELLO:
+                if conn.role is not None:  # one connection plays one role
+                    raise _SessionError(ERR_FRAME, f"already joined as {conn.role.value}")
+                conn.role = self.hello(message.body, conn.stream)
+            elif conn.role is None:
+                raise _SessionError(ERR_PHASE, "say Hello before anything else")
+            elif message.kind is Kind.OP_REQUEST:
+                self.op_request(conn.role, message.body, conn.stream)
+            elif message.kind is Kind.CLASSICAL:
+                self.classical(conn.role, message.body)
+            elif message.kind is Kind.FINISH:
+                self.finish(conn.role)
+            else:
+                raise _SessionError(ERR_FRAME, f"unexpected kind {message.kind.value}")
+        except _BobFirst:
+            # Nothing else from Charlie is read until his request is answered.
+            self._held = _Held(conn, message.body, time.monotonic() + self.timeout)
+            self._poller.unregister(conn.sock)
+        except _SessionError as exc:
+            self._refuse(conn, exc)
+
+    def _refuse(self, conn: _Connection, exc: _SessionError) -> None:
+        conn.stream.send(Kind.ERROR, {"code": exc.code, "message": str(exc)[:MAX_ERROR_TEXT]})
+        if exc.code in (ERR_FRAME, ERR_ROLE_TAKEN):
+            self._close(conn)
+
+    def _settle(self) -> None:
+        """After each message: make the held move once Bob owes no Bell
+        correction, or refuse it at its deadline; then close every
+        connection a send broke."""
+        held, settled = self._held, self._bob_settled()
+        if held is not None and (settled or time.monotonic() >= held.deadline):
+            self._held = None
+            conn = held.conn
+            self._poller.register(conn.sock, selectors.EVENT_READ, conn)
+            self._ready.append(conn)  # what Charlie sent while he waited
+            try:
+                if not settled:
+                    raise _SessionError(ERR_PHASE, "Bob has not made his Bell correction")
+                self._apply(self._OPS[held.body["op"]], conn.role, held.body, conn.stream)
+            except _SessionError as exc:
+                self._refuse(conn, exc)
+        for conn in [c for c in self._connections if c.broken]:
+            self._close(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        del self._connections[conn]
+        if self._held is not None and self._held.conn is conn:
+            self._held = None  # unregistered while held
+        else:
+            self._poller.unregister(conn.sock)
+        conn.sock.close()
+        if conn.role is not None:
+            self.detach(conn.role)
 
     # -- moves and the transcript -------------------------------------------
 
     def _meta(self, text: str) -> None:
-        if not self._transcript.closed:
-            self._transcript.write(f"# {text}\n")
+        self._transcript.write(f"# {text}\n")
 
     @contextlib.contextmanager
     def _move(self):
-        """Hold the lock for one move, refusing it with ERR_PHASE where the
-        engine does, then write the trace events it added and wake waiters."""
-        with self._lock:
-            try:
-                yield
-            except PhaseError as exc:
-                raise _SessionError(ERR_PHASE, str(exc)) from None
-            finally:
-                if self._session is not None and not self._transcript.closed:
-                    for event in self._session.trace.events[self._written:]:
-                        self._transcript.write(event_line(event) + "\n")
-                    self._written = len(self._session.trace.events)
-                self._settled.notify_all()
+        """One move, refused with ERR_PHASE where the engine refuses it; then
+        write the trace events it added."""
+        try:
+            yield
+        except PhaseError as exc:
+            raise _SessionError(ERR_PHASE, str(exc)) from None
+        finally:
+            if self._session is not None:
+                for event in self._session.trace.events[self._written:]:
+                    self._transcript.write(event_line(event) + "\n")
+                self._written = len(self._session.trace.events)
 
     def _prepared(self) -> SessionRegister:
         if self._session is None:
@@ -274,32 +411,29 @@ class Coordinator:
             role = Role(body["role"])
         except (KeyError, ValueError, TypeError):
             raise _SessionError(ERR_FRAME, f"Hello needs a valid role, got {body!r}")
-        with self._lock:
-            if role in self._streams:
-                raise _SessionError(ERR_ROLE_TAKEN, f"role {role.value} already connected")
-            self._streams[role] = stream
-            self._meta(f"hello role={role.value}")
-            if len(self._streams) == len(Role):
-                # Grant doubles as the session-start signal for every party.
-                for granted_role, granted_stream in self._streams.items():
-                    granted_stream.send(
-                        Kind.GRANT,
-                        {"role": granted_role.value, "qubits": QUBITS_OF[granted_role]},
-                    )
+        if role in self._streams:
+            raise _SessionError(ERR_ROLE_TAKEN, f"role {role.value} already connected")
+        self._streams[role] = stream
+        self._meta(f"hello role={role.value}")
+        if len(self._streams) == len(Role):
+            # Grant doubles as the session-start signal for every party.
+            for granted_role, granted_stream in self._streams.items():
+                granted_stream.send(
+                    Kind.GRANT,
+                    {"role": granted_role.value, "qubits": QUBITS_OF[granted_role]},
+                )
         return role
 
     def detach(self, role: Role) -> None:
         # Only a party that leaves before its Finish can explain a stall; after
         # it, whether the line lands before shutdown would vary from run to run.
-        with self._lock:
-            if self._streams.pop(role, None) is not None and role not in self._finished:
-                self._meta(f"disconnect role={role.value}")
+        if self._streams.pop(role, None) is not None and role not in self._finished:
+            self._meta(f"disconnect role={role.value}")
 
     def finish(self, role: Role) -> None:
-        with self._lock:
-            self._finished.add(role)
-            self._meta(f"finish role={role.value}")
-            self._check_done()
+        self._finished.add(role)
+        self._meta(f"finish role={role.value}")
+        self._check_done()
 
     def _check_done(self) -> None:
         session = self._session
@@ -328,26 +462,21 @@ class Coordinator:
                     )
 
     def op_request(self, role: Role, body: dict, stream: MessageStream) -> dict:
+        """Make the move one OpRequest asks for and send its OpResult; raises
+        _BobFirst, having changed nothing, for a move that waits for Bob."""
         op = body.get("op")
-        handlers = {
-            "prepare": self._op_prepare,
-            "bell_measure": self._op_bell_measure,
-            "apply_correction": self._op_apply_correction,
-            "basis_measure": self._op_basis_measure,
-            "fetch_bob_state": self._op_fetch_bob_state,
-        }
-        handler = handlers.get(op) if isinstance(op, str) else None
+        handler = self._OPS.get(op) if isinstance(op, str) else None
         if handler is None:
             raise _SessionError(ERR_FRAME, f"unknown op {op!r}")
+        return self._apply(handler, role, body, stream)
+
+    def _apply(self, handler, role: Role, body: dict, stream: MessageStream) -> dict:
         with self._move():
-            result = handler(role, body)
-            # Reply while still holding the lock. A correction op wakes the
-            # blocked Charlie handler, and Charlie's Classical relay must not
-            # reach the correcting party before this OpResult does.
+            result = handler(self, role, body)
             stream.send(Kind.OP_RESULT, result)
         return result
 
-    # -- ops (lock held) -------------------------------------------------------
+    # -- ops ------------------------------------------------------------------
 
     def _require_qubits(self, role: Role, qubits) -> list[int]:
         # A JSON list of integers; a bool is not one, though Python says so.
@@ -384,8 +513,8 @@ class Coordinator:
         if unitary is None or unitary.is_identity():
             raise _SessionError(ERR_PHASE, f"no correction {name!r} is ever requested")
         session = self._prepared()
-        if role is Role.CHARLIE:
-            self._wait_for_bob(session)
+        if role is Role.CHARLIE and not self._bob_settled():
+            raise _BobFirst
         correct(session, role, unitary)
         return {"op": "apply_correction", "applied": name, "qubit": qubit}
 
@@ -396,18 +525,18 @@ class Coordinator:
         if role is not Role.CHARLIE:
             raise _SessionError(ERR_PHASE, "basis_measure is Charlie's move")
         session = self._prepared()
-        self._wait_for_bob(session)
+        if not self._bob_settled():
+            raise _BobFirst
         return _measured("basis_measure", basis_measure(session, self._selector))
 
-    def _wait_for_bob(self, session: SessionRegister) -> None:
-        """Hold Charlie's correction or measurement until Bob owes no Bell
-        correction, the in-process order; refused on timeout."""
-        if not self._settled.wait_for(
-            lambda: session.phase is not Phase.BELL_MEASURED
-            or session.owed.get(Role.BOB, IDENTITY).is_identity(),
-            self.timeout,
-        ):
-            raise _SessionError(ERR_PHASE, "Bob has not made his Bell correction")
+    def _bob_settled(self) -> bool:
+        """Whether Charlie may move: Bob owes no Bell correction, the in-process order."""
+        session = self._session
+        return (
+            session is None
+            or session.phase is not Phase.BELL_MEASURED
+            or session.owed.get(Role.BOB, IDENTITY).is_identity()
+        )
 
     def _op_fetch_bob_state(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
@@ -420,6 +549,14 @@ class Coordinator:
             "amplitudes": [[a.real, a.imag] for a in bob_state.amplitudes],
             "fidelity": fidelity,
         }
+
+    _OPS = {
+        "prepare": _op_prepare,
+        "bell_measure": _op_bell_measure,
+        "apply_correction": _op_apply_correction,
+        "basis_measure": _op_basis_measure,
+        "fetch_bob_state": _op_fetch_bob_state,
+    }
 
 
 # --- orchestration ------------------------------------------------------------------

@@ -68,7 +68,10 @@ def run_party(role: Role, config: PartyConfig) -> int:
     before that step, which is how orchestrate drops a party.
     """
     stop = config.stop_before
-    with socket.create_connection((config.host, config.port), timeout=config.timeout) as sock:
+    # getaddrinfo encodes a str host with the idna codec, which imports
+    # unicodedata and stringprep; an ASCII host needs no encoding.
+    host = config.host.encode("ascii") if config.host.isascii() else config.host
+    with socket.create_connection((host, config.port), timeout=config.timeout) as sock:
         sock.settimeout(config.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:

@@ -10,7 +10,6 @@ closed after an Error message.
 from __future__ import annotations
 
 import json
-import threading
 from collections import namedtuple
 from enum import Enum
 
@@ -60,7 +59,8 @@ def encode(message: WireMessage) -> bytes:
 def decode(line: bytes) -> WireMessage:
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer past int's digit limit.
+    except (ValueError, RecursionError) as exc:
         raise FrameError(f"not a JSON line: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"seq", "session_id", "kind", "body"}:
         raise FrameError("message must be an object with seq, session_id, kind, body")
@@ -78,16 +78,20 @@ def decode(line: bytes) -> WireMessage:
     return WireMessage(seq=seq, session_id=session_id, kind=parsed_kind, body=body)
 
 
-def read_message(rfile) -> WireMessage | None:
-    """Next message from a binary stream, or None at a clean EOF."""
-    line = rfile.readline(MAX_LINE_BYTES + 1)
-    if line == b"":
-        return None
+def complete_line(line: bytes) -> bytes:
+    """``line``, read as ``readline(MAX_LINE_BYTES + 1)`` reads it, if it is
+    one whole line within the cap."""
     if len(line) > MAX_LINE_BYTES:
         raise FrameError(f"line exceeds {MAX_LINE_BYTES} byte cap")
     if not line.endswith(b"\n"):
         raise FrameError("stream ended mid-line")
-    return decode(line)
+    return line
+
+
+def read_message(rfile) -> WireMessage | None:
+    """Next message from a binary stream, or None at a clean EOF."""
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    return decode(complete_line(line)) if line else None
 
 
 class MessageStream:
@@ -104,22 +108,22 @@ class MessageStream:
         self.session_id = session_id
         self._next_out = 1
         self._last_in = 0
-        # A coordinator relays to a party from several handler threads, so
-        # sequencing and the write+flush must be atomic per stream.
-        self._send_lock = threading.Lock()
 
     def send(self, kind: Kind, body: dict) -> WireMessage:
-        with self._send_lock:
-            message = WireMessage(self._next_out, self.session_id, kind, body)
-            self._next_out += 1
-            self.wfile.write(encode(message))
-            self.wfile.flush()
+        message = WireMessage(self._next_out, self.session_id, kind, body)
+        self._next_out += 1
+        self.wfile.write(encode(message))
+        self.wfile.flush()
         return message
 
     def recv(self) -> WireMessage | None:
-        message = read_message(self.rfile)
-        if message is None:
-            return None
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        return self.accept(line) if line else None
+
+    def accept(self, line: bytes) -> WireMessage:
+        """The message on ``line``, read from this connection by the caller,
+        checked as :meth:`recv` checks what it reads."""
+        message = decode(complete_line(line))
         if message.seq <= self._last_in:
             raise FrameError(
                 f"seq must increase per connection: got {message.seq} after {self._last_in}"

@@ -1,6 +1,7 @@
 """Coordinator/party tests over real loopback sockets, plus transcript tooling."""
 
 import contextlib
+import json
 import select
 import socket
 import subprocess
@@ -9,6 +10,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghztp import netharness
 from ghztp.netharness import (
@@ -31,7 +34,16 @@ from ghztp.protocol import (
     SignalState,
     run_protocol,
 )
-from ghztp.wire import ERR_FRAME, ERR_LOCALITY, ERR_PHASE, ERR_ROLE_TAKEN, Kind, MessageStream
+from ghztp.wire import (
+    ERR_FRAME,
+    ERR_LOCALITY,
+    ERR_PHASE,
+    ERR_ROLE_TAKEN,
+    Kind,
+    MessageStream,
+    WireMessage,
+    encode,
+)
 
 SIGNAL = SignalState(0.6, 0.8)
 
@@ -729,3 +741,206 @@ def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
         "session stalled at Join",
         "party bob exited with 1, stderr ends 'bob cannot start'",
     ]
+
+
+# --- repeat runs, shutdown, and a fuzzer ------------------------------------------
+
+
+def test_every_seed_gives_the_same_transcript_on_every_run(make_coordinator):
+    for seed in range(10):
+        runs = []
+        for _ in range(3):
+            meta, events = run_full_session(make_coordinator, seed)
+            report = compare_transcript(run_protocol(SIGNAL, seed=seed), meta, events)
+            assert report.match, (seed, report.problems)
+            runs.append([netharness.event_line(e) for e in events])
+        assert runs[0] == runs[1] == runs[2], seed
+
+
+def test_shutdown_is_prompt_and_closes_a_silent_party_without_a_disconnect_line(
+    make_coordinator,
+):
+    coordinator = make_coordinator(timeout=5.0)
+    client = Client(coordinator.port)
+    try:
+        client.send(Kind.HELLO, {"role": "alice"})
+        wait_until_joined(coordinator, "alice")
+        start = time.monotonic()
+        coordinator.shutdown()
+        assert time.monotonic() - start < 0.5
+        assert client.recv() is None  # the coordinator closed the connection
+    finally:
+        client.close()
+    lines = coordinator.transcript_path.read_text().splitlines()
+    assert lines[-1] == "# session incomplete"
+    assert not [line for line in lines if line.startswith("# disconnect")]
+
+
+def test_an_error_quoting_a_huge_request_still_fits_on_the_wire(make_coordinator):
+    # The refusal quotes the body, and each 'é' grows from 2 bytes of UTF-8 to
+    # the 6 of its JSON escape.
+    coordinator = make_coordinator()
+    client = Client(coordinator.port)
+    hello = {"seq": 1, "session_id": "", "kind": "Hello", "body": {"role": "é" * 30_000}}
+    try:
+        client.send_raw(json.dumps(hello, ensure_ascii=False).encode() + b"\n")
+        expect_error(client, ERR_FRAME)
+        assert client.recv() is None
+    finally:
+        client.close()
+    with joined_session(coordinator):  # the coordinator still serves
+        pass
+
+
+# The fuzzer's session: seed 0 owes every correction, so Charlie's Bell
+# correction and measurement are held for Bob's correction.
+FUZZ_SCRIPT = [
+    (Role.ALICE, Kind.HELLO, {"role": "alice"}),
+    (Role.BOB, Kind.HELLO, {"role": "bob"}),
+    (Role.CHARLIE, Kind.HELLO, {"role": "charlie"}),
+    (Role.ALICE, Kind.OP_REQUEST, {"op": "prepare"}),
+    (Role.ALICE, Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]}),
+    (Role.ALICE, Kind.CLASSICAL, {"recipients": ["bob", "charlie"], "payload": "PsiMinus"}),
+    (Role.BOB, Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": "X"}),
+    (Role.CHARLIE, Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 3, "unitary": "ZX"}),
+    (Role.CHARLIE, Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}),
+    (Role.CHARLIE, Kind.CLASSICAL, {"recipients": ["bob"], "payload": "Minus"}),
+    (Role.BOB, Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": "Z"}),
+    (Role.BOB, Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": 2}),
+    (Role.ALICE, Kind.FINISH, {}),
+    (Role.BOB, Kind.FINISH, {}),
+    (Role.CHARLIE, Kind.FINISH, {}),
+]
+
+# Refused at once, and changes nothing, on any connection in any phase: the
+# reply after it shows that everything sent before has been answered.
+PROBE = {"op": "basis_measure", "qubit": -99}
+
+# Lines that are no message of this connection.
+BAD_LINES = {
+    "junk": lambda client: b"not json\n",
+    "stale": lambda client: encode(WireMessage(1, "", Kind.FINISH, {})),
+    "foreign": lambda client: encode(WireMessage(10**6, "nobody", Kind.FINISH, {})),
+}
+
+fuzz_names = st.sampled_from([
+    "alice", "bob", "charlie", "eve", "prepare", "bell_measure", "apply_correction",
+    "basis_measure", "fetch_bob_state", "X", "Z", "ZX", "I", "H", "plus_minus",
+    "PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus", "Plus", "Minus",
+])
+fuzz_qubits = st.integers(-1, 4)
+fuzz_values = st.recursive(
+    st.none() | st.booleans() | fuzz_qubits | st.floats(-2, 5) | fuzz_names | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+fuzz_bodies = st.dictionaries(
+    st.sampled_from(["role", "op", "qubits", "qubit", "unitary", "basis", "recipients", "payload"])
+    | st.text(max_size=5),
+    fuzz_values,
+    max_size=4,
+)
+# (connection, kind, body): a move of the script, one with fields changed, or anything.
+fuzz_messages = st.lists(
+    st.one_of(
+        st.sampled_from([(list(Role).index(r), k, b) for r, k, b in FUZZ_SCRIPT]),
+        st.tuples(st.sampled_from(FUZZ_SCRIPT), fuzz_bodies).map(
+            lambda pair: (list(Role).index(pair[0][0]), pair[0][1], {**pair[0][2], **pair[1]})
+        ),
+        st.tuples(st.integers(0, 3), st.sampled_from([*Kind, *BAD_LINES]), fuzz_bodies),
+    ),
+    max_size=8,
+)
+
+
+def next_reply(client: Client):
+    """The next OpResult or Error, past Grants and relays; None once the
+    coordinator has closed the connection."""
+    while True:
+        try:
+            message = client.recv()
+        except ConnectionResetError:  # closed with our probe still unread
+            return None
+        if message is None or message.kind in (Kind.OP_RESULT, Kind.ERROR):
+            return message
+
+
+def assert_closed(client: Client) -> None:
+    assert next_reply(client) is None
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stage=st.integers(0, len(FUZZ_SCRIPT)), messages=fuzz_messages)
+def test_fuzzed_messages_get_one_reply_each_and_never_stop_the_coordinator(
+    tmp_path_factory, stage, messages
+):
+    # A short hold keeps examples quick; it only changes how soon a held
+    # request of Charlie's is refused.
+    coordinator = Coordinator(SIGNAL, seed=SEED_ALL_CORRECTIONS,
+                              transcript_path=tmp_path_factory.mktemp("fuzz") / "t.log",
+                              timeout=0.25)
+    coordinator.start()
+    clients = [Client(coordinator.port) for _ in range(4)]  # Alice, Bob, Charlie, a stranger
+    joined = [False] * 4
+    closed = [False] * 4
+    try:
+        # Each scripted move is made before the next is sent, as the parties make them.
+        for role, kind, body in FUZZ_SCRIPT[:stage]:
+            index = list(Role).index(role)
+            clients[index].send(kind, body)
+            if kind is Kind.HELLO:
+                wait_until_joined(coordinator, role.value)
+                joined[index] = True
+            elif kind is Kind.OP_REQUEST:
+                assert next_reply(clients[index]).kind is Kind.OP_RESULT
+            elif kind is Kind.CLASSICAL:
+                for name in body["recipients"]:
+                    recipient = clients[list(Role).index(Role(name))]
+                    while recipient.recv().kind is not Kind.CLASSICAL:
+                        pass  # the Grant
+
+        for index, kind, body in messages:
+            client = clients[index]
+            if closed[index]:
+                continue
+            if kind in BAD_LINES:
+                client.send_raw(BAD_LINES[kind](client))
+            else:
+                client.send(kind, body)
+            if not joined[index] and kind is not Kind.HELLO:
+                reply = next_reply(client)  # refused: no role yet, or no message
+                assert reply.kind is Kind.ERROR and reply.body["code"] in (ERR_PHASE, ERR_FRAME)
+                if reply.body["code"] == ERR_FRAME:
+                    assert_closed(client)
+                    closed[index] = True
+                continue
+            client.send(Kind.OP_REQUEST, PROBE)
+            replies = []
+            while True:
+                reply = next_reply(client)
+                if reply is None or "does not own [-99]" in reply.body.get("message", ""):
+                    break
+                replies.append(reply)
+            if reply is None:  # the coordinator hung up: after one framing or role error
+                assert [(r.kind, r.body["code"]) for r in replies] in (
+                    [(Kind.ERROR, ERR_FRAME)], [(Kind.ERROR, ERR_ROLE_TAKEN)]
+                ), replies
+                closed[index] = True
+                continue
+            joined[index] = True
+            if kind is Kind.OP_REQUEST:
+                assert len(replies) == 1, replies
+            else:
+                assert [r.kind for r in replies] in ([], [Kind.ERROR]), replies
+
+        assert coordinator._thread.is_alive()
+        fresh = Client(coordinator.port)
+        try:
+            fresh.send(Kind.OP_REQUEST, {"op": "prepare"})
+            expect_error(fresh, ERR_PHASE)
+        finally:
+            fresh.close()
+    finally:
+        for client in clients:
+            client.close()
+        coordinator.shutdown()

@@ -18,6 +18,9 @@ NUMPY_LAYERS = {"numpy", "ghztp.qsim", "ghztp.protocol", "ghztp.cli"}
 # Nor the stdlib behind dataclasses and typing.
 HEAVY_STDLIB = {"dataclasses", "typing", "inspect"}
 
+# Nor the idna codec, which getaddrinfo needs only for a host given as a str.
+IDNA = {"encodings.idna", "stringprep", "unicodedata"}
+
 
 def child_env():
     """This process's environment, with this ghztp importable in a child."""
@@ -113,6 +116,7 @@ def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_pat
         assert "ghztp.wire" in modules  # the log was read
         unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
         assert not unwanted, (role, sorted(unwanted))
+        assert not imported_modules(log) & IDNA, (role, sorted(imported_modules(log) & IDNA))
 
 
 @pytest.mark.parametrize("flags, args, env, code", [

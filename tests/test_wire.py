@@ -57,6 +57,9 @@ def test_encode_rejects_oversize_message():
         b'{"seq":1,"session_id":7,"kind":"Hello","body":{}}',
         b'{"seq":1,"session_id":"s","kind":"Hello","body":[]}',
         b'{"seq":1,"session_id":"s","kind":"Hi","body":{}}',
+        pytest.param(b"[" * 50_000 + b"]" * 50_000, id="nested-past-the-recursion-limit"),
+        pytest.param(b'{"seq":' + b"9" * 5000 + b',"session_id":"s","kind":"Hello","body":{}}',
+                     id="integer-past-the-digit-limit"),
     ],
 )
 def test_decode_rejects_malformed_lines(line):
