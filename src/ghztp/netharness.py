@@ -12,10 +12,13 @@ are relayed (star topology) through the coordinator, which also writes the
 single ordered transcript from the session's trace.
 
 Randomness lives only in the coordinator, which consumes its seeded PRNG in
-the same order as the in-process run (Bell draw, then Charlie draw), and it
-holds Charlie's Bell correction until Bob has made his. So for a given
-(signal, seed) the networked transcript is the in-process trace, minus the
-identity corrections that never cross the wire, byte for byte.
+the same order as the in-process run (Bell draw, then Charlie draw). The
+engine admits moves only in the in-process order: it refuses a move that is
+not due, and raises NotYet for one that is due only after another role's
+correction (Charlie's Bell correction, before Bob's), which the coordinator
+holds and retries. So for a given (signal, seed) the networked transcript is
+the in-process trace, minus the identity corrections that never cross the
+wire, byte for byte.
 
 One thread serves a session: a ``selectors`` loop over the listening socket
 and every party's connection, which handles one message at a time. Shutdown
@@ -40,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
-from .qsim import IDENTITY, NAMED_UNITARIES, SeededSelector
+from .qsim import NAMED_UNITARIES, SeededSelector
 from .party import DEFAULT_TIMEOUT, PartyConfig, PartyError, run_party  # noqa: F401 (re-exported)
 from .protocol import (
     BellMeasured,
@@ -50,7 +53,7 @@ from .protocol import (
     CorrectionApplied,
     Finished,
     GhzPrepared,
-    Phase,
+    NotYet,
     PhaseError,
     ProtocolResult,
     SessionRegister,
@@ -116,10 +119,6 @@ class _SessionError(Exception):
         self.code = code
 
 
-class _BobFirst(Exception):
-    """Internal: Charlie's valid move must wait until Bob owes no Bell correction."""
-
-
 class _Connection:
     """One party's socket, the bytes it sent that are not yet handled, and
     the role it joined as.
@@ -157,8 +156,8 @@ class _Connection:
         return line
 
 
-# A request of Charlie's held until Bob owes no Bell correction or the deadline passes.
-_Held = namedtuple("_Held", "conn body deadline")
+# A request that is not due yet, held until it is made or its deadline passes.
+_Held = namedtuple("_Held", "conn message deadline")
 
 
 def _measured(op: str, event) -> dict:
@@ -170,13 +169,13 @@ class Coordinator:
     """Drives one SessionRegister for three remote parties.
 
     The protocol engine (:mod:`ghztp.protocol`) makes every change to the
-    session's state, phase and trace; the coordinator adds what the network
-    needs: locality, who may make which move, relaying, the transcript, and
-    holding Charlie's moves until Bob owes no Bell correction, which puts
-    every session in the in-process order (Charlie owes a correction whenever
-    Bob does). One thread serves the session: it accepts the parties and
-    handles every message of every connection, one at a time, so the
-    transcript is a total order consistent with each connection's send order.
+    session's state, due moves and trace, and admits moves only in the
+    in-process order; the coordinator adds what the network needs: locality,
+    relaying, the transcript, and holding a request the engine calls NotYet
+    until it is due or its deadline passes. One thread serves the session: it
+    accepts the parties and handles every message of every connection, one at
+    a time, so the transcript is a total order consistent with each
+    connection's send order.
     """
 
     def __init__(
@@ -319,12 +318,23 @@ class Coordinator:
             self._settle()
 
     def _handle(self, conn: _Connection, line: bytes) -> None:
-        """One message from ``conn``: the move it asks for, or its Error."""
+        """One line from ``conn``: the message on it, or its Error."""
         try:
-            try:
-                message = conn.stream.accept(line)
-            except FrameError as exc:
-                raise _SessionError(ERR_FRAME, str(exc)) from None
+            message = conn.stream.accept(line)
+        except FrameError as exc:
+            self._refuse(conn, _SessionError(ERR_FRAME, str(exc)))
+        else:
+            deadline = time.monotonic() + self.timeout
+            if not self._answer(conn, message, deadline):
+                # Nothing else from this party is read until its request is answered.
+                self._held = _Held(conn, message, deadline)
+                self._poller.unregister(conn.sock)
+
+    def _answer(self, conn: _Connection, message, deadline: float) -> bool:
+        """Make the move ``message`` asks for, or refuse it. A move that is
+        not due yet changes nothing: it returns False until ``deadline``,
+        and is refused after it."""
+        try:
             if message.kind is Kind.HELLO:
                 if conn.role is not None:  # one connection plays one role
                     raise _SessionError(ERR_FRAME, f"already joined as {conn.role.value}")
@@ -339,12 +349,13 @@ class Coordinator:
                 self.finish(conn.role)
             else:
                 raise _SessionError(ERR_FRAME, f"unexpected kind {message.kind.value}")
-        except _BobFirst:
-            # Nothing else from Charlie is read until his request is answered.
-            self._held = _Held(conn, message.body, time.monotonic() + self.timeout)
-            self._poller.unregister(conn.sock)
+        except NotYet as exc:
+            if time.monotonic() < deadline:
+                return False
+            self._refuse(conn, _SessionError(ERR_PHASE, str(exc)))
         except _SessionError as exc:
             self._refuse(conn, exc)
+        return True
 
     def _refuse(self, conn: _Connection, exc: _SessionError) -> None:
         conn.stream.send(Kind.ERROR, {"code": exc.code, "message": str(exc)[:MAX_ERROR_TEXT]})
@@ -352,21 +363,14 @@ class Coordinator:
             self._close(conn)
 
     def _settle(self) -> None:
-        """After each message: make the held move once Bob owes no Bell
-        correction, or refuse it at its deadline; then close every
+        """After each message: retry the held move, which is answered once
+        it is made or refused or its deadline has passed; then close every
         connection a send broke."""
-        held, settled = self._held, self._bob_settled()
-        if held is not None and (settled or time.monotonic() >= held.deadline):
+        held = self._held
+        if held is not None and self._answer(held.conn, held.message, held.deadline):
             self._held = None
-            conn = held.conn
-            self._poller.register(conn.sock, selectors.EVENT_READ, conn)
-            self._ready.append(conn)  # what Charlie sent while he waited
-            try:
-                if not settled:
-                    raise _SessionError(ERR_PHASE, "Bob has not made his Bell correction")
-                self._apply(self._OPS[held.body["op"]], conn.role, held.body, conn.stream)
-            except _SessionError as exc:
-                self._refuse(conn, exc)
+            self._poller.register(held.conn.sock, selectors.EVENT_READ, held.conn)
+            self._ready.append(held.conn)  # what the party sent while it waited
         for conn in [c for c in self._connections if c.broken]:
             self._close(conn)
 
@@ -387,10 +391,13 @@ class Coordinator:
 
     @contextlib.contextmanager
     def _move(self):
-        """One move, refused with ERR_PHASE where the engine refuses it; then
-        write the trace events it added."""
+        """One move, refused with ERR_PHASE where the engine refuses it and
+        passed on as NotYet where it waits; then write the trace events it
+        added."""
         try:
             yield
+        except NotYet:
+            raise
         except PhaseError as exc:
             raise _SessionError(ERR_PHASE, str(exc)) from None
         finally:
@@ -437,7 +444,7 @@ class Coordinator:
 
     def _check_done(self) -> None:
         session = self._session
-        if session is not None and session.phase is Phase.DONE and self._finished == set(Role):
+        if session is not None and not session.due and self._finished == set(Role):
             self._done.set()
 
     def classical(self, role: Role, body: dict) -> None:
@@ -463,14 +470,11 @@ class Coordinator:
 
     def op_request(self, role: Role, body: dict, stream: MessageStream) -> dict:
         """Make the move one OpRequest asks for and send its OpResult; raises
-        _BobFirst, having changed nothing, for a move that waits for Bob."""
+        NotYet, having changed nothing, for a move that is not due yet."""
         op = body.get("op")
         handler = self._OPS.get(op) if isinstance(op, str) else None
         if handler is None:
             raise _SessionError(ERR_FRAME, f"unknown op {op!r}")
-        return self._apply(handler, role, body, stream)
-
-    def _apply(self, handler, role: Role, body: dict, stream: MessageStream) -> dict:
         with self._move():
             result = handler(self, role, body)
             stream.send(Kind.OP_RESULT, result)
@@ -512,37 +516,18 @@ class Coordinator:
         # Identity corrections never cross the wire: parties skip them.
         if unitary is None or unitary.is_identity():
             raise _SessionError(ERR_PHASE, f"no correction {name!r} is ever requested")
-        session = self._prepared()
-        if role is Role.CHARLIE and not self._bob_settled():
-            raise _BobFirst
-        correct(session, role, unitary)
+        correct(self._prepared(), role, unitary)
         return {"op": "apply_correction", "applied": name, "qubit": qubit}
 
     def _op_basis_measure(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
         if body.get("basis") != "plus_minus":
             raise _SessionError(ERR_PHASE, f"unsupported basis {body.get('basis')!r}")
-        if role is not Role.CHARLIE:
-            raise _SessionError(ERR_PHASE, "basis_measure is Charlie's move")
-        session = self._prepared()
-        if not self._bob_settled():
-            raise _BobFirst
-        return _measured("basis_measure", basis_measure(session, self._selector))
-
-    def _bob_settled(self) -> bool:
-        """Whether Charlie may move: Bob owes no Bell correction, the in-process order."""
-        session = self._session
-        return (
-            session is None
-            or session.phase is not Phase.BELL_MEASURED
-            or session.owed.get(Role.BOB, IDENTITY).is_identity()
-        )
+        return _measured("basis_measure", basis_measure(self._prepared(), role, self._selector))
 
     def _op_fetch_bob_state(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
-        if role is not Role.BOB:
-            raise _SessionError(ERR_PHASE, "fetch_bob_state is Bob's move")
-        bob_state, fidelity = bob_finish(self._prepared())
+        bob_state, fidelity = bob_finish(self._prepared(), role)
         self._check_done()
         return {
             "op": "fetch_bob_state",

@@ -184,11 +184,22 @@ def one_of(choices):
     return check
 
 
+def seconds(text: str) -> float:
+    """The type of ``--timeout``: a positive, finite number of seconds, which
+    every socket and wait it bounds accepts."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # nan fails this too
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: must be a positive, finite number of seconds"
+        )
+    return value
+
+
 def add_net_args(parser: argparse.ArgumentParser) -> None:
     """The flags every ``net`` subcommand takes."""
     parser.add_argument("--host", default=env_default("HOST", "127.0.0.1"))
     parser.add_argument("--port", type=int, default=env_default("PORT", "0"))
-    parser.add_argument("--timeout", type=float, default=env_default("TIMEOUT", DEFAULT_TIMEOUT))
+    parser.add_argument("--timeout", type=seconds, default=env_default("TIMEOUT", DEFAULT_TIMEOUT))
 
 
 def add_party_args(parser: argparse.ArgumentParser) -> None:

@@ -18,7 +18,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -60,12 +59,8 @@ class PhaseError(RuntimeError):
     """An operation was attempted out of protocol order."""
 
 
-class Phase(Enum):
-    INIT = "init"
-    BELL_MEASURED = "bell_measured"
-    CORRECTED = "corrected"
-    CHARLIE_MEASURED = "charlie_measured"
-    DONE = "done"
+class NotYet(PhaseError):
+    """A move that comes due once another role has made the correction it owes."""
 
 
 # The qubit each correcting role acts on, Bob first.
@@ -318,34 +313,47 @@ def trace_order_errors(events: list[TraceEvent]) -> list[str]:
 # --- session -----------------------------------------------------------------
 #
 # Each party's move is one function below, and these functions are the only
-# code that changes a session's state, phase or trace. The in-process run and
-# the networked coordinator both drive a session through them.
+# code that changes a session's state, due moves or trace. The in-process run
+# and the networked coordinator both drive a session through them, so both
+# are held to the one order the session's due list states.
 
 
 @dataclass
 class SessionRegister:
-    """One protocol run: the 4-qubit register, its phase and trace, the
-    outcomes measured so far and the corrections each role still owes.
+    """One protocol run: the 4-qubit register, its trace, and the moves still
+    due, as ``(role, move, value)`` in the in-process order.
 
-    An owed identity changes nothing, so it never holds the session back:
-    the in-process run makes it and logs it, a networked party skips it.
+    Each measurement adds the moves its outcome calls for. An owed identity
+    changes nothing, so it never holds the session back: the in-process run
+    makes it and logs it, a networked party skips it.
     """
 
     signal: SignalState
     state: StateVector
-    phase: Phase = Phase.INIT
     trace: ProtocolTrace = field(default_factory=ProtocolTrace)
-    outcomes: dict[Role, Union[BellOutcome, CharlieOutcome]] = field(default_factory=dict)
-    owed: dict[Role, Unitary2x2] = field(default_factory=dict)
+    due: list[tuple] = field(default_factory=lambda: [(Role.ALICE, "bell_measure", None)])
 
-    def _require_phase(self, expected: Phase, op: str) -> None:
-        if self.phase is not expected:
-            raise PhaseError(f"{op} requires phase {expected.value}, session is {self.phase.value}")
+    def take(self, role: Role, move: str, value=None) -> None:
+        """Mark one move made, and every owed identity due before it passed over.
 
-    @property
-    def settled(self) -> bool:
-        """True when nothing but identities is owed."""
-        return all(u.is_identity() for u in self.owed.values())
+        Raises NotYet, changing nothing, when the move is due only after
+        another role's correction, and PhaseError for any move not due.
+        """
+        waits_for = None
+        for i, (due_role, due_move, due_value) in enumerate(self.due):
+            if due_role is role and due_move == move and due_value is value:
+                if waits_for is not None:
+                    raise NotYet(f"{role.value}'s {move} waits for {waits_for}")
+                del self.due[: i + 1]
+                return
+            if due_move == "correct" and due_value.is_identity():
+                continue
+            if due_role is role or due_move != "correct":
+                break
+            waits_for = waits_for or f"{due_role.value}'s correction {due_value.name}"
+        # An outcome goes by its value on the wire, a correction by its name.
+        what = move if value is None else f"{move} {getattr(value, 'value', None) or value.name}"
+        raise PhaseError(f"no {what} due for {role.value}")
 
 
 @functools.cache
@@ -375,14 +383,19 @@ def compose_session(signal: SignalState) -> SessionRegister:
 
 
 def bell_measure(session: SessionRegister, selector: OutcomeSelector) -> BellMeasured:
-    """Alice's Bell measurement of (D, A); Bob and Charlie then owe their corrections."""
-    session._require_phase(Phase.INIT, "alice_bell_measure")
+    """Alice's Bell measurement of (D, A); her broadcast, Bob's and Charlie's
+    corrections and Charlie's measurement then come due."""
+    session.take(Role.ALICE, "bell_measure")
     outcome, probability, post = measure_bell(session.state, QUBIT_D, QUBIT_A, selector)
     event = BellMeasured(outcome, probability)
     session.state = post
-    session.outcomes[Role.ALICE] = outcome
-    session.owed = dict(zip(CORRECTION_QUBIT, BELL_CORRECTION_TABLE[outcome]))
-    session.phase = Phase.CORRECTED if session.settled else Phase.BELL_MEASURED
+    u_bob, u_charlie = BELL_CORRECTION_TABLE[outcome]
+    session.due += [
+        (Role.ALICE, "send", outcome),
+        (Role.BOB, "correct", u_bob),
+        (Role.CHARLIE, "correct", u_charlie),
+        (Role.CHARLIE, "basis_measure", None),
+    ]
     session.trace.events.append(event)
     return event
 
@@ -392,60 +405,51 @@ def send(
 ) -> ClassicalMessage:
     """Alice's broadcast or Charlie's message: the sender's outcome, sent once,
     to the roles whose correction depends on it."""
-    if (
-        session.outcomes.get(sender) is not payload
-        or recipients != RECIPIENTS[sender]
-        or any(m.sender is sender for m in session.trace.messages())
-    ):
+    if recipients != RECIPIENTS.get(sender):
         heard = ",".join(sorted(r.value for r in recipients))
-        raise PhaseError(f"{sender.value} cannot send {payload} to {heard} now")
+        raise PhaseError(f"{sender.value} cannot send to {heard}")
+    session.take(sender, "send", payload)
     message = ClassicalMessage(len(session.trace.messages()) + 1, sender, recipients, payload)
     session.trace.events.append(message)
     return message
 
 
 def correct(session: SessionRegister, role: Role, unitary: Unitary2x2) -> None:
-    """One role's correction: Bob's or Charlie's Bell correction, or Bob's final one.
-
-    Refused unless it is the correction the role owes right now.
-    """
-    if session.owed.get(role) is not unitary:
-        raise PhaseError(f"no correction {unitary.name} due for {role.value}")
+    """One role's correction: Bob's or Charlie's Bell correction, or Bob's final one."""
+    session.take(role, "correct", unitary)
     session.state = apply_single(session.state, CORRECTION_QUBIT[role], unitary)
-    del session.owed[role]
-    if session.phase is Phase.CHARLIE_MEASURED:
+    if any(isinstance(e, CharlieMeasured) for e in session.trace.events):
         session.trace.events.append(BobCorrected(unitary.name))
     else:
         session.trace.events.append(CorrectionApplied(role, unitary.name))
-        if session.settled:
-            session.phase = Phase.CORRECTED
 
 
-def basis_measure(session: SessionRegister, selector: OutcomeSelector) -> CharlieMeasured:
-    """Charlie's (|0> ± |1>)/sqrt(2) measurement of C; Bob then owes his final correction."""
-    session._require_phase(Phase.CORRECTED, "charlie_measure")
+def basis_measure(
+    session: SessionRegister, role: Role, selector: OutcomeSelector
+) -> CharlieMeasured:
+    """Charlie's (|0> ± |1>)/sqrt(2) measurement of C; his message, Bob's
+    final correction and Bob's finish then come due."""
+    session.take(role, "basis_measure")
     k, probability, post = measure_in_basis(session.state, QUBIT_C, PLUS_MINUS, selector)
     event = CharlieMeasured(list(CharlieOutcome)[k], probability)
     session.state = post
-    session.phase = Phase.CHARLIE_MEASURED
-    session.outcomes[Role.CHARLIE] = event.outcome
-    session.owed = {Role.BOB: CHARLIE_CORRECTION_TABLE[event.outcome]}
+    session.due += [
+        (Role.CHARLIE, "send", event.outcome),
+        (Role.BOB, "correct", CHARLIE_CORRECTION_TABLE[event.outcome]),
+        (Role.BOB, "finish", None),
+    ]
     session.trace.events.append(event)
     return event
 
 
-def bob_finish(session: SessionRegister) -> tuple[StateVector, float]:
+def bob_finish(session: SessionRegister, role: Role) -> tuple[StateVector, float]:
     """Bob's recovered qubit and its fidelity to the signal; ends the session."""
-    session._require_phase(Phase.CHARLIE_MEASURED, "bob_finish")
-    if not session.settled:
-        raise PhaseError("bob_finish requires Bob's final correction")
+    session.take(role, "finish")
     # One partial trace of B per result, as run_protocol has always made:
     # bench/ pins the kernel calls of a run (qsim.calls_per_session).
     bob_state = pure_state_from_density(partial_trace(session.state, [QUBIT_B]))
     signal = prepare_signal(session.signal)
     fidelity = fidelity_pure(partial_trace(session.state, [QUBIT_B]), signal)
-    session.owed = {}
-    session.phase = Phase.DONE
     session.trace.events.append(Finished(fidelity))
     return bob_state, fidelity
 
@@ -471,7 +475,7 @@ def charlie_measure(
     session: SessionRegister, selector: OutcomeSelector
 ) -> tuple[CharlieOutcome, ClassicalMessage]:
     """Charlie's (|0> ± |1>)/sqrt(2) measurement of C, result sent to Bob."""
-    outcome = basis_measure(session, selector).outcome
+    outcome = basis_measure(session, Role.CHARLIE, selector).outcome
     return outcome, send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
 
 
@@ -479,7 +483,7 @@ def bob_correct(session: SessionRegister, outcome: CharlieOutcome) -> StateVecto
     """Bob's final conditional correction and his finish; returns his recovered
     single-qubit state."""
     correct(session, Role.BOB, CHARLIE_CORRECTION_TABLE[outcome])
-    return bob_finish(session)[0]
+    return bob_finish(session, Role.BOB)[0]
 
 
 @dataclass

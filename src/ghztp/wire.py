@@ -88,12 +88,6 @@ def complete_line(line: bytes) -> bytes:
     return line
 
 
-def read_message(rfile) -> WireMessage | None:
-    """Next message from a binary stream, or None at a clean EOF."""
-    line = rfile.readline(MAX_LINE_BYTES + 1)
-    return decode(complete_line(line)) if line else None
-
-
 class MessageStream:
     """Sequenced message I/O over one connection.
 

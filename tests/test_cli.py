@@ -243,6 +243,27 @@ def test_a_malformed_environment_default_fails_only_the_net_commands(
     assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+def test_a_timeout_must_be_a_positive_finite_number(capsys, monkeypatch, value):
+    from ghztp import netharness
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a usage error started a process")
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", no_process)
+    for argv in (
+        ["net", "orchestrate", "--timeout", value],
+        ["net", "serve", "--timeout", value],
+        ["net", "party", "--role", "bob", "--port", "1", "--timeout", value],
+    ):
+        assert usage_error_line(capsys, *argv).endswith(
+            f"argument --timeout: invalid value {value!r}: "
+            "must be a positive, finite number of seconds"
+        ), argv
+    monkeypatch.setenv("GHZTP_TIMEOUT", value)
+    assert "argument --timeout: invalid value" in usage_error_line(capsys, "net", "orchestrate")
+
+
 def usage_error_line(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exited:
         main(list(argv))

@@ -122,6 +122,13 @@ def wait_until_joined(coordinator, role: str, timeout: float = 5.0) -> None:
         time.sleep(0.01)
 
 
+def broadcast(clients, payload: str) -> None:
+    """Alice's broadcast, read by Bob and Charlie."""
+    clients[Role.ALICE].send(Kind.CLASSICAL, {"recipients": ["bob", "charlie"], "payload": payload})
+    for role in (Role.BOB, Role.CHARLIE):
+        assert clients[role].recv().body["payload"] == payload
+
+
 def expect_error(client: Client, code: str):
     message = client.recv()
     assert message.kind is Kind.ERROR
@@ -332,6 +339,7 @@ def test_full_manual_session_with_unmatched_correction_refused(make_coordinator)
         clients[Role.ALICE].recv()
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         assert clients[Role.ALICE].recv().body["outcome"] == "PhiPlus"
+        broadcast(clients, "PhiPlus")
 
         # PhiPlus owes nobody anything; an uninvited X, or an identity that
         # never crosses the wire, is a phase error
@@ -345,6 +353,9 @@ def test_full_manual_session_with_unmatched_correction_refused(make_coordinator)
             Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
         )
         assert clients[Role.CHARLIE].recv().body["outcome"] == "Plus"
+        # Bob finishes only once he has heard Charlie's outcome.
+        clients[Role.CHARLIE].send(Kind.CLASSICAL, {"recipients": ["bob"], "payload": "Plus"})
+        assert clients[Role.BOB].recv().body["payload"] == "Plus"
 
         clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": 2})
         result = clients[Role.BOB].recv()
@@ -398,6 +409,7 @@ def test_charlies_bell_correction_waits_for_bobs(make_coordinator):
         clients[Role.ALICE].recv()
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         assert clients[Role.ALICE].recv().body["outcome"] == "PsiPlus"
+        broadcast(clients, "PsiPlus")
 
         answered = threading.Event()
         reply = {}
@@ -456,14 +468,56 @@ def test_charlie_measurement_times_out_when_bob_never_corrects(make_coordinator)
         clients[Role.ALICE].recv()
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         clients[Role.ALICE].recv()
+        broadcast(clients, "PsiPlus")
+        start = time.monotonic()
         clients[Role.CHARLIE].send(
             Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 3, "unitary": "X"}
         )
         expect_error(clients[Role.CHARLIE], ERR_PHASE)  # held on Bob's X, then refused
+        assert time.monotonic() - start >= 0.5
         clients[Role.CHARLIE].send(
             Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
         )
         expect_error(clients[Role.CHARLIE], ERR_PHASE)
+
+
+def test_a_correction_before_alices_broadcast_is_refused_and_not_written(make_coordinator):
+    coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS)
+    with joined_session(coordinator) as clients:
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+        clients[Role.ALICE].recv()
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
+        assert clients[Role.ALICE].recv().body["outcome"] == "PsiMinus"
+        fingerprint = coordinator.state_fingerprint()
+        clients[Role.BOB].send(
+            Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": "X"}
+        )
+        expect_error(clients[Role.BOB], ERR_PHASE)  # Bob has not heard the outcome yet
+        assert coordinator.state_fingerprint() == fingerprint
+    coordinator.shutdown()
+    _, events = read_transcript(coordinator.transcript_path)
+    reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
+    assert [netharness.event_line(e) for e in events] == reference.trace.lines()[:3]
+
+
+def test_bob_cannot_finish_before_charlies_message(make_coordinator):
+    coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
+    with joined_session(coordinator) as clients:
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+        clients[Role.ALICE].recv()
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
+        clients[Role.ALICE].recv()
+        broadcast(clients, "PhiPlus")
+        clients[Role.CHARLIE].send(
+            Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
+        )
+        assert clients[Role.CHARLIE].recv().body["outcome"] == "Plus"
+        clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": 2})
+        expect_error(clients[Role.BOB], ERR_PHASE)  # Charlie has not sent his outcome
+        clients[Role.CHARLIE].send(Kind.CLASSICAL, {"recipients": ["bob"], "payload": "Plus"})
+        assert clients[Role.BOB].recv().body["payload"] == "Plus"
+        clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": 2})
+        assert clients[Role.BOB].recv().kind is Kind.OP_RESULT
 
 
 # --- scripted parties end to end ---------------------------------------------
@@ -793,7 +847,7 @@ def test_an_error_quoting_a_huge_request_still_fits_on_the_wire(make_coordinator
 
 
 # The fuzzer's session: seed 0 owes every correction, so Charlie's Bell
-# correction and measurement are held for Bob's correction.
+# correction is held for Bob's.
 FUZZ_SCRIPT = [
     (Role.ALICE, Kind.HELLO, {"role": "alice"}),
     (Role.BOB, Kind.HELLO, {"role": "bob"}),
@@ -811,6 +865,8 @@ FUZZ_SCRIPT = [
     (Role.BOB, Kind.FINISH, {}),
     (Role.CHARLIE, Kind.FINISH, {}),
 ]
+
+FUZZ_REFERENCE = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
 
 # Refused at once, and changes nothing, on any connection in any phase: the
 # reply after it shows that everything sent before has been answered.
@@ -944,3 +1000,8 @@ def test_fuzzed_messages_get_one_reply_each_and_never_stop_the_coordinator(
         for client in clients:
             client.close()
         coordinator.shutdown()
+    # Whatever the parties sent, the session was written in the in-process order.
+    _, events = read_transcript(coordinator.transcript_path)
+    got = [netharness.event_line(e) for e in events]
+    expected = [netharness.event_line(e) for e in netharness._networked(FUZZ_REFERENCE)]
+    assert got == expected[: len(got)], got

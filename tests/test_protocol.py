@@ -1,4 +1,4 @@
-"""Protocol tests: phases, branch residuals, corrections, traces, messages.
+"""Protocol tests: move order, branch residuals, corrections, traces, messages.
 
 Branch residuals before correction were derived by expanding
 (alpha|0> + beta|1>) ⊗ (|000> + |111>)/sqrt(2) in the Bell basis of the
@@ -33,7 +33,7 @@ from ghztp.protocol import (
     CorrectionApplied,
     Finished,
     GhzPrepared,
-    Phase,
+    NotYet,
     PhaseError,
     Role,
     SignalPrepared,
@@ -110,7 +110,7 @@ def test_composed_state_amplitudes():
     want[0] = want[0b0111] = ALPHA * SQRT_HALF
     want[0b1000] = want[0b1111] = BETA * SQRT_HALF
     assert np.allclose(session.state.amplitudes, want, atol=1e-12)
-    assert session.phase is Phase.INIT
+    assert session.due == [(Role.ALICE, "bell_measure", None)]
     assert [type(e) for e in session.trace.events] == [GhzPrepared, SignalPrepared]
 
 
@@ -140,7 +140,7 @@ def test_bell_correction_restores_common_form():
         apply_bell_correction(session, bell)
         want = np.kron(BELL_VECTORS[bell], np.array(COMMON_FORM, dtype=complex))
         assert np.allclose(session.state.amplitudes, want, atol=1e-12), bell
-        assert session.phase is Phase.CORRECTED
+        assert session.due == [(Role.CHARLIE, "basis_measure", None)]
 
 
 def test_correction_table_entries_are_logged():
@@ -194,7 +194,11 @@ def test_phase_order_is_enforced():
     alice_bell_measure(session, ForcedSelector(0))
     with pytest.raises(PhaseError):
         alice_bell_measure(session, ForcedSelector(0))  # no second measurement
-    assert session.phase is Phase.CORRECTED  # PhiPlus owes nothing but identities
+    assert session.due == [  # PhiPlus owes nothing but identities
+        (Role.BOB, "correct", IDENTITY),
+        (Role.CHARLIE, "correct", IDENTITY),
+        (Role.CHARLIE, "basis_measure", None),
+    ]
     with pytest.raises(PhaseError):
         apply_bell_correction(session, BellOutcome.PSI_PLUS)  # not the measured outcome
     apply_bell_correction(session, BellOutcome.PHI_PLUS)
@@ -206,7 +210,7 @@ def test_phase_order_is_enforced():
     with pytest.raises(PhaseError):
         bob_correct(session, CharlieOutcome.PLUS)  # Minus owes Z, not I
     bob_correct(session, CharlieOutcome.MINUS)
-    assert session.phase is Phase.DONE
+    assert session.due == []
     with pytest.raises(PhaseError):
         bob_correct(session, CharlieOutcome.MINUS)
 
@@ -214,18 +218,22 @@ def test_phase_order_is_enforced():
 @pytest.mark.parametrize("first", [Role.BOB, Role.CHARLIE])
 def test_session_is_corrected_whichever_role_corrects_first(first):
     session = forced_session(BellOutcome.PSI_MINUS)  # Bob owes X, Charlie owes ZX
-    owed = {Role.BOB: PAULI_X, Role.CHARLIE: ZX}
-    second = Role.CHARLIE if first is Role.BOB else Role.BOB
-    correct(session, first, owed[first])
-    assert session.phase is Phase.BELL_MEASURED
+    if first is Role.CHARLIE:
+        before, lines = session.state, session.trace.lines()
+        with pytest.raises(NotYet):
+            correct(session, Role.CHARLIE, ZX)  # due only once Bob has made his X
+        assert session.state is before
+        assert session.trace.lines() == lines
+    correct(session, Role.BOB, PAULI_X)
+    assert session.due == [(Role.CHARLIE, "correct", ZX), (Role.CHARLIE, "basis_measure", None)]
     with pytest.raises(PhaseError):
-        charlie_measure(session, ForcedSelector(0))  # the other correction is still owed
-    correct(session, second, owed[second])
-    assert session.phase is Phase.CORRECTED
+        charlie_measure(session, ForcedSelector(0))  # Charlie's own correction is still owed
+    correct(session, Role.CHARLIE, ZX)
+    assert session.due == [(Role.CHARLIE, "basis_measure", None)]
     want = np.kron(BELL_VECTORS[BellOutcome.PSI_MINUS], np.array(COMMON_FORM, dtype=complex))
     assert np.allclose(session.state.amplitudes, want, atol=1e-12)
     charlie_measure(session, ForcedSelector(0))
-    assert session.phase is Phase.CHARLIE_MEASURED
+    assert session.due == [(Role.BOB, "correct", IDENTITY), (Role.BOB, "finish", None)]
 
 
 def test_corrections_nobody_owes_are_refused():
@@ -249,7 +257,7 @@ def test_corrections_nobody_owes_are_refused():
 def test_an_owed_identity_never_holds_the_session_back():
     session = forced_session(BellOutcome.PHI_MINUS)  # Bob owes I, Charlie owes Z
     correct(session, Role.CHARLIE, PAULI_Z)
-    assert session.phase is Phase.CORRECTED
+    assert session.due == [(Role.CHARLIE, "basis_measure", None)]
     charlie_measure(session, ForcedSelector(0))  # Plus: Bob's final correction is I
     bob_state = bob_correct(session, CharlieOutcome.PLUS)
     assert abs(np.vdot(bob_state.amplitudes, [ALPHA, BETA])) == pytest.approx(1.0, abs=1e-10)

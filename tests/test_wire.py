@@ -15,7 +15,6 @@ from ghztp.wire import (
     WireMessage,
     decode,
     encode,
-    read_message,
 )
 
 
@@ -67,32 +66,36 @@ def test_decode_rejects_malformed_lines(line):
         decode(line)
 
 
+def reader(data: bytes) -> MessageStream:
+    return MessageStream(io.BytesIO(data), None)
+
+
 def test_read_message_returns_none_at_clean_eof():
-    assert read_message(io.BytesIO(b"")) is None
+    assert reader(b"").recv() is None
 
 
 def test_read_message_reads_consecutive_lines():
-    buf = io.BytesIO(
+    stream = reader(
         encode(WireMessage(1, "s", Kind.HELLO, {"role": "bob"}))
         + encode(WireMessage(2, "s", Kind.FINISH, {}))
     )
-    first = read_message(buf)
-    second = read_message(buf)
+    first = stream.recv()
+    second = stream.recv()
     assert first.kind is Kind.HELLO
     assert second.kind is Kind.FINISH
-    assert read_message(buf) is None
+    assert stream.recv() is None
 
 
 def test_read_message_rejects_oversize_line():
-    buf = io.BytesIO(b"x" * (MAX_LINE_BYTES + 10) + b"\n")
+    stream = reader(b"x" * (MAX_LINE_BYTES + 10) + b"\n")
     with pytest.raises(FrameError, match="cap"):
-        read_message(buf)
+        stream.recv()
 
 
 def test_read_message_rejects_stream_cut_mid_line():
-    buf = io.BytesIO(b'{"seq":1,"session_id":"s"')
+    stream = reader(b'{"seq":1,"session_id":"s"')
     with pytest.raises(FrameError, match="mid-line"):
-        read_message(buf)
+        stream.recv()
 
 
 def test_stream_numbers_outgoing_messages_from_one():
@@ -100,9 +103,9 @@ def test_stream_numbers_outgoing_messages_from_one():
     stream = MessageStream(io.BytesIO(), out, session_id="sess")
     stream.send(Kind.HELLO, {"role": "alice"})
     stream.send(Kind.FINISH, {})
-    out.seek(0)
-    assert read_message(out).seq == 1
-    assert read_message(out).seq == 2
+    sent = reader(out.getvalue())
+    assert sent.recv().seq == 1
+    assert sent.recv().seq == 2
 
 
 def test_stream_rejects_stale_incoming_seq():
