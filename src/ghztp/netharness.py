@@ -1,6 +1,7 @@
 """The protocol over TCP: a coordinator that drives the protocol engine for
 the party clients of :mod:`ghztp.party`. ``orchestrate`` serves the session
-in the calling process and spawns the three parties as their own processes.
+in the calling process and spawns one party host, which forks the three
+parties as their own processes (so it needs ``os.fork``: POSIX only).
 
 Amplitudes cannot be physically distributed in a classical simulation, so
 the coordinator holds the only session register and parties act on it
@@ -29,7 +30,9 @@ once, with no poll to wait out.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+import select
 import selectors
 import socket
 import subprocess
@@ -42,9 +45,16 @@ from collections import deque, namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
+from signal import SIGKILL, SIGTERM
 
 from .qsim import NAMED_UNITARIES, SeededSelector
-from .party import DEFAULT_TIMEOUT, PartyConfig, PartyError, run_party  # noqa: F401 (re-exported)
+from .party import (  # noqa: F401 (re-exported)
+    DEFAULT_TIMEOUT,
+    STDERR_TAIL,
+    PartyConfig,
+    PartyError,
+    run_party,
+)
 from .protocol import (
     BellMeasured,
     BobCorrected,
@@ -81,9 +91,6 @@ from .wire import (
     Kind,
     MessageStream,
 )
-
-# Characters of a party's stderr that orchestrate reports when the party fails.
-STDERR_TAIL = 500
 
 # Characters of an Error's text a party is sent. The text may quote the
 # request, and the Error must still fit in one line under the wire's cap.
@@ -558,6 +565,8 @@ class ComparisonReport:
     net_fidelity: float | None = None
     reference_fidelity: float = 0.0
     transcript: str = ""
+    # Each role's exit code and stderr tail, as the party host reported them.
+    parties: dict[str, dict] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -637,30 +646,52 @@ def compare_transcript(
 
 
 def _spawn(args: list[str]) -> subprocess.Popen:
-    """Start ``ghztp <args>`` on this process's ghztp; its stderr is read when
-    it is reaped."""
+    """Start ``ghztp <args>`` on this process's ghztp, leading a process group
+    of its own; its output is read as it is reaped."""
     path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     return subprocess.Popen(
         [sys.executable, "-m", "ghztp", *args],
         env={**os.environ, "PYTHONPATH": path},
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        text=True,
+        start_new_session=True,
     )
 
 
-def _terminate(processes, grace: float) -> list[str]:
-    """Reap each process, killing it if it is still running after ``grace``
-    seconds; returns the tail of each one's stderr."""
-    tails = []
-    for proc in processes:
+def _reported(host: subprocess.Popen) -> bytes:
+    """What the party host has written to stdout so far, without waiting.
+    Its few short lines fit in the pipe, so one read takes them all."""
+    fd = host.stdout.fileno()
+    return os.read(fd, 1 << 16) if select.select([fd], [], [], 0)[0] else b""
+
+
+def _party_lines(output: bytes) -> dict[str, dict]:
+    """The party host's lines, by role; a line not yet ended is left out."""
+    lines = (json.loads(line) for line in output.splitlines(keepends=True) if line.endswith(b"\n"))
+    return {line["role"]: line for line in lines}
+
+
+def _terminate(host: subprocess.Popen, grace: float) -> tuple[bytes, str]:
+    """Reap the party host; returns its stdout and the tail of its stderr.
+
+    If it is not done after ``grace`` seconds, SIGTERM its process group:
+    the parties end, and the host, which ignores it, reaps and reports them,
+    so no process is left behind unreaped. SIGKILL ends a group that is
+    still there after the default timeout. A group that is gone already
+    (the host exited and took its parties with it) is no error.
+    """
+    try:
+        out, err = host.communicate(timeout=grace)
+    except subprocess.TimeoutExpired:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(host.pid, SIGTERM)
         try:
-            _, stderr = proc.communicate(timeout=grace)
+            out, err = host.communicate(timeout=DEFAULT_TIMEOUT)
         except subprocess.TimeoutExpired:
-            proc.kill()
-            _, stderr = proc.communicate()
-        tails.append(stderr[-STDERR_TAIL:].strip())
-    return tails
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(host.pid, SIGKILL)
+            out, err = host.communicate()
+    return out, err.decode("utf-8", "replace")[-STDERR_TAIL:].strip()
 
 
 def orchestrate(
@@ -672,9 +703,11 @@ def orchestrate(
     transcript_dir=None,
     host: str = "127.0.0.1",
 ) -> ComparisonReport:
-    """Serve one session in this process to three spawned party processes,
-    then compare it with the in-process run of the same (signal, seed).
+    """Serve one session in this process to three party processes, then
+    compare it with the in-process run of the same (signal, seed).
 
+    One ``ghztp net party`` host is spawned with all three roles; it forks a
+    process per role and reports each one's exit code and stderr tail.
     With ``drop`` set, that party joins and then goes silent at its scripted
     step; the session must then stall instead of finishing.
     """
@@ -694,39 +727,54 @@ def orchestrate(
             reference_fidelity=reference.fidelity,
             transcript=str(transcript),
         )
-    parties: list[subprocess.Popen] = []
-    done = False
+    party_host: subprocess.Popen | None = None
+    early = out = b""
+    host_tail = ""
+    done = on_its_own = False
     try:
         coordinator.start()
-        for role in Role:
-            party_args = [
-                "net", "party",
-                "--role", role.value,
-                "--host", host,
-                "--port", str(coordinator.port),
-                "--timeout", repr(timeout),
-            ]
-            if drop is role:
-                party_args += ["--stop-before", DROP_STAGE[role]]
-            parties.append(_spawn(party_args))
+        party_args = [
+            "net", "party",
+            "--role", *(role.value for role in Role),
+            "--host", host,
+            "--port", str(coordinator.port),
+            "--timeout", repr(timeout),
+        ]
+        if drop is not None:
+            # Each drop stage occurs in that role's script only.
+            party_args += ["--stop-before", DROP_STAGE[drop]]
+        party_host = _spawn(party_args)
         done = coordinator.wait()
     finally:
         # A party waits on the coordinator no longer than the coordinator waits
-        # on the session, so one that has exited by now did so on its own.
-        exited = [proc.poll() is not None for proc in parties]
+        # on the session, so one reported by now exited on its own.
+        if party_host is not None:
+            early = _reported(party_host)
+            on_its_own = party_host.poll() is not None
         coordinator.shutdown()
-        # Parties of a finished session are on their way out: let them exit.
-        stderr_tails = _terminate(parties, timeout if done else 0.0)
+        if party_host is not None:
+            # Parties of a finished session are on their way out: let them exit.
+            out, host_tail = _terminate(party_host, timeout if done else 0.0)
 
     meta, events = read_transcript(transcript)
     report = compare_transcript(reference, meta, events)
     report.transcript = str(transcript)
-    for role, proc, tail, on_its_own in zip(Role, parties, stderr_tails, exited):
-        # After a stall the parties still waiting are killed; only a party that
-        # failed on its own can say why the session stalled.
-        if proc.returncode != 0 and (report.stalled_role is None or on_its_own):
-            report.problems.append(
-                f"party {role.value} exited with {proc.returncode}, stderr ends {tail!r}"
-            )
-            report.match = False
+    lines = _party_lines(early + out)
+    exited = _party_lines(early)
+    # After a stall the parties still waiting are killed; only a party that
+    # failed on its own can say why the session stalled.
+    for role in Role:
+        line = lines.get(role.value)
+        if line is not None:
+            report.parties[role.value] = {"exit": line["exit"], "stderr": line["stderr"]}
+            if line["exit"] != 0 and (report.stalled_role is None or role.value in exited):
+                report.problems.append(
+                    f"party {role.value} exited with {line['exit']}, stderr ends {line['stderr']!r}"
+                )
+    if (len(lines) < len(Role) and party_host.returncode != 0
+            and (report.stalled_role is None or on_its_own)):
+        report.problems.append(
+            f"party host exited with {party_host.returncode}, stderr ends {host_tail!r}"
+        )
+    report.match = not report.problems
     return report

@@ -1,15 +1,22 @@
 """One party of a networked session: the scripted clients of Alice, Bob and
-Charlie, and the ``ghztp net party`` command that runs one of them.
+Charlie, and the ``ghztp net party`` command that runs them.
 
 A party only exchanges names with the coordinator (roles, outcomes and
 corrections, see :mod:`ghztp.vocab`), so this module and everything it
 imports leave numpy out: ``python -m ghztp net party`` starts here, before
 :mod:`ghztp.cli` and the simulator are imported.
+
+Given one role, ``net party`` plays it in its own process. Given several, it
+is a party host: one interpreter that imports this closure once and then
+forks one process per role, so each party still acts alone on its share.
+The host reaps every party and writes one JSON line per party to its
+standard output: ``{"role": ..., "exit": ..., "stderr": ...}``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import socket
 import sys
@@ -34,6 +41,9 @@ EXIT_CONNECTION = 4
 
 # The steps a party can go silent right before (negative tests).
 STOP_STAGES = ("bell", "broadcast", "correction", "measure", "send", "finish")
+
+# Characters of a party's stderr that its host reports.
+STDERR_TAIL = 500
 
 
 class PartyError(RuntimeError):
@@ -195,10 +205,23 @@ def seconds(text: str) -> float:
     return value
 
 
+def port(text: str) -> int:
+    """The type of ``--port``: a TCP port number, 0 for any free one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: must be a port number from 0 to 65535"
+        )
+    return value
+
+
 def add_net_args(parser: argparse.ArgumentParser) -> None:
     """The flags every ``net`` subcommand takes."""
     parser.add_argument("--host", default=env_default("HOST", "127.0.0.1"))
-    parser.add_argument("--port", type=int, default=env_default("PORT", "0"))
+    parser.add_argument("--port", type=port, default=env_default("PORT", "0"))
     parser.add_argument("--timeout", type=seconds, default=env_default("TIMEOUT", DEFAULT_TIMEOUT))
 
 
@@ -206,7 +229,8 @@ def add_party_args(parser: argparse.ArgumentParser) -> None:
     add_net_args(parser)
     roles = [r.value for r in Role]
     parser.add_argument("--role", required=env_default("ROLE", None) is None,
-                        default=env_default("ROLE", None), choices=roles, type=one_of(roles))
+                        default=env_default("ROLE", None), choices=roles, type=one_of(roles),
+                        nargs="+", help="one role to play here, or several to fork one process each")
     parser.add_argument("--stop-before", default=env_default("STOP_BEFORE", None),
                         choices=STOP_STAGES, type=one_of(STOP_STAGES),
                         help="go silent right before this step (negative tests)")
@@ -216,14 +240,87 @@ def cmd_net_party(args) -> int:
     config = PartyConfig(
         host=args.host, port=args.port, timeout=args.timeout, stop_before=args.stop_before
     )
+    # A role from GHZTP_ROLE arrives as one string, from the command line as a list.
+    roles = [Role(r) for r in ([args.role] if isinstance(args.role, str) else args.role)]
+    if len(roles) == 1:
+        return play(roles[0], config)
+    return host_parties(roles, config)
+
+
+def play(role: Role, config: PartyConfig) -> int:
+    """:func:`run_party`, with each failure as an exit code and a stderr line."""
     try:
-        return run_party(Role(args.role), config)
+        return run_party(role, config)
     except (ConnectionError, TimeoutError, OSError) as exc:
         print(f"connection error: {exc}", file=sys.stderr)
         return EXIT_CONNECTION
     except (PartyError, FrameError) as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+
+
+def host_parties(roles: list[Role], config: PartyConfig) -> int:
+    """Fork one process per role, each playing it as ``net party --role`` would,
+    and reap them all; returns the first non-zero exit code in role order.
+
+    Each party's stderr goes to its own unlinked file, so a flood never
+    blocks it. The host ignores SIGTERM: a SIGTERM to its process group ends
+    the parties, and the host still reaps and reports them.
+    """
+    import signal
+    import tempfile
+
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    parties = {}
+    for role in roles:
+        stderr = tempfile.TemporaryFile()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            _party_child(role, config, stderr.fileno())
+        parties[pid] = (role, stderr)
+    codes = {}
+    while parties:
+        pid, status = os.waitpid(-1, 0)
+        role, stderr = parties.pop(pid)
+        codes[role] = os.waitstatus_to_exitcode(status)
+        print(json.dumps({"role": role.value, "exit": codes[role], "stderr": _tail(stderr)}),
+              flush=True)
+        stderr.close()
+    code = next((codes[role] for role in roles if codes[role]), 0)
+    return code if code >= 0 else 128 - code  # killed by a signal: as a shell reports it
+
+
+def _party_child(role: Role, config: PartyConfig, stderr: int):
+    """The forked party: play ``role`` with stdout to the null device and
+    stderr to ``stderr``, then end the process without returning."""
+    import signal
+
+    code = 1  # as for an uncaught exception
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.dup2(stderr, 2)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        code = play(role, config)
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _tail(stderr) -> str:
+    """The last STDERR_TAIL characters of a party's stderr file, stripped."""
+    size = stderr.seek(0, os.SEEK_END)
+    stderr.seek(max(0, size - 4 * STDERR_TAIL))  # at most 4 bytes a character
+    return stderr.read().decode("utf-8", "replace")[-STDERR_TAIL:].strip()
 
 
 def main(argv: list[str]) -> int:

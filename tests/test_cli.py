@@ -264,6 +264,27 @@ def test_a_timeout_must_be_a_positive_finite_number(capsys, monkeypatch, value):
     assert "argument --timeout: invalid value" in usage_error_line(capsys, "net", "orchestrate")
 
 
+@pytest.mark.parametrize("value", ["70000", "-5"])
+def test_a_port_must_be_a_port_number(capsys, monkeypatch, value):
+    from ghztp import netharness
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a usage error started a process")
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", no_process)
+    for argv in (
+        ["net", "orchestrate", "--port", value],
+        ["net", "serve", "--port", value],
+        ["net", "party", "--role", "bob", "--port", value],
+    ):
+        assert usage_error_line(capsys, *argv).endswith(
+            f"argument --port: invalid value {value!r}: must be a port number from 0 to 65535"
+        ), argv
+    monkeypatch.setenv("GHZTP_PORT", value)
+    for argv in (["net", "orchestrate"], ["net", "serve"], ["net", "party", "--role", "bob"]):
+        assert "argument --port: invalid value" in usage_error_line(capsys, *argv), argv
+
+
 def usage_error_line(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exited:
         main(list(argv))

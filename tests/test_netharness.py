@@ -2,10 +2,11 @@
 
 import contextlib
 import json
+import os
 import select
 import socket
 import subprocess
-import sys
+import textwrap
 import threading
 import time
 
@@ -702,8 +703,11 @@ def test_orchestrate_matches_bitwise_for_a_tiny_negative_amplitude(tmp_path, mon
     assert report.match, report.problems
     assert report.net_fidelity == report.reference_fidelity == run_protocol(signal, seed=1).fidelity
 
-    assert [argv[1:5] for argv in spawned] == [["-m", "ghztp", "net", "party"]] * 3
-    assert not any("e-05" in arg or "alpha" in arg for argv in spawned for arg in argv)
+    # One party host carries all three roles.
+    (argv,) = spawned
+    assert argv[1:5] == ["-m", "ghztp", "net", "party"]
+    assert argv[argv.index("--role") + 1:][:4] == ["alice", "bob", "charlie", "--host"]
+    assert not any("e-05" in arg or "alpha" in arg for arg in argv)
 
 
 def test_orchestrate_on_an_occupied_port_reports_that_the_coordinator_failed(tmp_path):
@@ -741,25 +745,46 @@ def test_orchestrate_names_a_transcript_it_cannot_open(tmp_path):
     assert problem.startswith(f"coordinator failed to start: cannot open transcript {transcript}: ")
 
 
+def host_with_bob(monkeypatch, bob: str) -> None:
+    """Make orchestrate's party host play Bob as ``bob``, the body of a
+    function of ``role`` and ``config`` that may call the real ``play``.
+
+    The host runs from a ``-c`` bootstrap that patches :mod:`ghztp.party` and
+    then calls the same entry as ``python -m ghztp``.
+    """
+    bootstrap = (
+        "import sys\n"
+        "from ghztp import __main__, party\n"
+        "play = party.play\n"
+        "def faulty(role, config):\n"
+        "    if role is not party.Role.BOB:\n"
+        "        return play(role, config)\n"
+        + textwrap.indent(bob, "    ")
+        + "party.play = faulty\n"
+        "sys.exit(__main__.main(sys.argv[1:]))\n"
+    )
+    popen = subprocess.Popen
+
+    def spawn_host(argv, **kwargs):
+        assert argv[1:3] == ["-m", "ghztp"]
+        return popen([argv[0], "-c", bootstrap, *argv[3:]], **kwargs)
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_host)
+
+
 # Plays Bob's part in full, then floods stderr past a pipe's 64 KiB and fails.
 FLOODING_BOB = (
-    "import sys\n"
-    "from ghztp.cli import main\n"
-    "main(sys.argv[1:])\n"
+    "play(role, config)\n"
     "sys.stderr.write('x' * 100_000 + ' last words')\n"
-    "sys.exit(3)\n"
+    "return 3\n"
 )
+
+# Fails before it joins.
+FAILING_BOB = "print('bob cannot start', file=sys.stderr)\nreturn 1\n"
 
 
 def test_a_party_that_floods_stderr_and_fails_is_reaped_and_reported(tmp_path, monkeypatch):
-    popen = subprocess.Popen
-
-    def spawn_flooding_bob(argv, **kwargs):
-        if "bob" in argv:
-            argv = [sys.executable, "-c", FLOODING_BOB, *argv[3:]]
-        return popen(argv, **kwargs)
-
-    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_flooding_bob)
+    host_with_bob(monkeypatch, FLOODING_BOB)
     report = orchestrate(SIGNAL, seed=0, timeout=10.0, transcript_dir=tmp_path)
 
     assert not report.match
@@ -778,14 +803,7 @@ def test_orchestrate_needs_no_pythonpath(tmp_path, monkeypatch):
 
 
 def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
-    popen = subprocess.Popen
-
-    def spawn_failing_bob(argv, **kwargs):
-        if "bob" in argv:
-            argv = [sys.executable, "-c", "import sys; sys.exit('bob cannot start')"]
-        return popen(argv, **kwargs)
-
-    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_failing_bob)
+    host_with_bob(monkeypatch, FAILING_BOB)
     report = orchestrate(SIGNAL, seed=0, timeout=2.0, transcript_dir=tmp_path)
 
     assert not report.match
@@ -795,6 +813,53 @@ def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
         "session stalled at Join",
         "party bob exited with 1, stderr ends 'bob cannot start'",
     ]
+    assert report.parties["bob"] == {"exit": 1, "stderr": "bob cannot start"}
+    assert sorted(report.parties) == ["alice", "bob", "charlie"]
+
+
+def test_a_party_host_that_fails_before_it_forks_is_reported(tmp_path, monkeypatch):
+    popen = subprocess.Popen
+
+    def spawn_failing_host(argv, **kwargs):
+        return popen([argv[0], "-c", "import sys; sys.exit('host cannot start')"], **kwargs)
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_failing_host)
+    report = orchestrate(SIGNAL, seed=0, timeout=2.0, transcript_dir=tmp_path)
+
+    assert (report.stalled_role, report.stalled_at) == ("alice,bob,charlie", "Join")
+    assert report.problems == [
+        "session stalled at Join",
+        "party host exited with 1, stderr ends 'host cannot start'",
+    ]
+    assert report.parties == {}
+
+
+@pytest.mark.parametrize("drop, bob, problems", [
+    pytest.param(None, None, [], id="completed"),
+    pytest.param(Role.CHARLIE, None, ["session stalled at CharlieMeasure"], id="drop-charlie"),
+    pytest.param(None, FAILING_BOB, ["session stalled at Join",
+                                     "party bob exited with 1, stderr ends 'bob cannot start'"],
+                 id="failing-bob"),
+])
+def test_no_process_outlives_orchestrate(tmp_path, monkeypatch, drop, bob, problems):
+    if bob is not None:
+        host_with_bob(monkeypatch, bob)
+    popen = subprocess.Popen
+    hosts = []
+
+    def recording_popen(argv, **kwargs):
+        hosts.append(popen(argv, **kwargs))
+        return hosts[-1]
+
+    monkeypatch.setattr(netharness.subprocess, "Popen", recording_popen)
+    report = orchestrate(SIGNAL, seed=0, drop=drop, timeout=2.0, transcript_dir=tmp_path)
+    assert report.problems == problems
+
+    (host,) = hosts
+    assert host.returncode is not None
+    # The host led its own process group; the parties were in it too.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(host.pid, 0)
 
 
 # --- repeat runs, shutdown, and a fuzzer ------------------------------------------

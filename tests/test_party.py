@@ -1,6 +1,8 @@
 """The party process: what it imports, and its command line."""
 
+import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -92,16 +94,17 @@ def test_a_party_process_never_imports_numpy(tmp_path):
 
 def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_path, monkeypatch):
     popen = subprocess.Popen
-    logs = {}
+    logs = []
 
     def importtime_popen(argv, **kwargs):
         proc = popen([argv[0], "-X", "importtime", *argv[1:]], **kwargs)
-        role, communicate = argv[argv.index("--role") + 1], proc.communicate
+        communicate = proc.communicate
 
         def communicate_and_keep_stderr(*args, **kwargs):
-            # orchestrate keeps only the tail of a party's stderr
-            out, logs[role] = communicate(*args, **kwargs)
-            return out, logs[role]
+            # orchestrate keeps only the tail of the host's stderr
+            out, err = communicate(*args, **kwargs)
+            logs.append(err.decode())
+            return out, err
 
         proc.communicate = communicate_and_keep_stderr
         return proc
@@ -110,13 +113,53 @@ def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_pat
     report = netharness.orchestrate(SignalState(0.6, 0.8), seed=0, timeout=10.0,
                                     transcript_dir=tmp_path)
     assert report.match, report.problems
-    assert sorted(logs) == sorted(role.value for role in Role)
-    for role, log in logs.items():
-        modules = imported_by_ghztp(log)
-        assert "ghztp.wire" in modules  # the log was read
-        unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
-        assert not unwanted, (role, sorted(unwanted))
-        assert not imported_modules(log) & IDNA, (role, sorted(imported_modules(log) & IDNA))
+    (log,) = logs  # one party host
+    modules = imported_by_ghztp(log)
+    assert "ghztp.wire" in modules  # the log was read
+    unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
+    assert not unwanted, sorted(unwanted)
+    # A forked party's stderr holds what -X importtime prints for each import
+    # after the fork; there is none, not even the idna codec when it connects.
+    assert report.parties == {role.value: {"exit": 0, "stderr": ""} for role in Role}
+
+
+def test_a_party_host_plays_every_role_against_a_coordinator(tmp_path):
+    coordinator = Coordinator(SignalState(0.6, 0.8), seed=0, transcript_path=tmp_path / "t.log",
+                              timeout=10.0)
+    coordinator.start()
+    try:
+        host = subprocess.Popen(
+            [sys.executable, "-m", "ghztp", "net", "party", "--role", "alice", "bob", "charlie",
+             "--port", str(coordinator.port), "--timeout", "10"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert coordinator.wait(10.0)
+    finally:
+        coordinator.shutdown()
+        out, err = host.communicate(timeout=10)
+    assert (host.returncode, err) == (0, "")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert sorted(lines, key=lambda line: line["role"]) == [
+        {"role": role.value, "exit": 0, "stderr": ""} for role in Role
+    ]
+    assert coordinator.transcript_path.read_text().endswith("# session complete\n")
+
+
+def test_a_party_host_reports_each_party_that_cannot_connect():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]  # closed once the probe is
+    done = subprocess.run(
+        [sys.executable, "-m", "ghztp", "net", "party", "--role", "bob", "charlie",
+         "--port", str(port), "--timeout", "1"],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (cli.EXIT_CONNECTION, "")
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert sorted(line["role"] for line in lines) == ["bob", "charlie"]
+    for line in lines:
+        assert line["exit"] == cli.EXIT_CONNECTION
+        assert line["stderr"].startswith("connection error: ")
 
 
 @pytest.mark.parametrize("flags, args, env, code", [
