@@ -622,7 +622,8 @@ def compare_transcript(
     corrections, in the same order, so the event lines must be equal byte for
     byte; that makes outcome, probability and fidelity equality exact. A
     proper prefix is a stall (see :func:`infer_stall`); anything else is a
-    mismatch at the first differing event.
+    mismatch at the first differing event. Equal events in a session that
+    never completed fail too: some role never sent its Finish.
     """
     report = ComparisonReport(match=False, reference_fidelity=reference.fidelity)
     stall = infer_stall(reference, meta, events)
@@ -641,6 +642,10 @@ def compare_transcript(
             if want != have
         )
         report.problems.append(f"event {index + 1} differs: expected {want!r}, got {have!r}")
+    elif "session incomplete" in meta:
+        finished = {line.split("role=")[1] for line in meta if line.startswith("finish role=")}
+        unfinished = ",".join(sorted(r.value for r in Role if r.value not in finished))
+        report.problems.append(f"session incomplete: no Finish from {unfinished}")
     report.match = not report.problems
     return report
 

@@ -446,7 +446,7 @@ def bob_finish(session: SessionRegister, role: Role) -> tuple[StateVector, float
     """Bob's recovered qubit and its fidelity to the signal; ends the session."""
     session.take(role, "finish")
     # One partial trace of B per result, as run_protocol has always made:
-    # bench/ pins the kernel calls of a run (qsim.calls_per_session).
+    # bench/ and tests/ pin the kernel calls of a run (qsim.calls_per_session).
     bob_state = pure_state_from_density(partial_trace(session.state, [QUBIT_B]))
     signal = prepare_signal(session.signal)
     fidelity = fidelity_pure(partial_trace(session.state, [QUBIT_B]), signal)
@@ -454,7 +454,10 @@ def bob_finish(session: SessionRegister, role: Role) -> tuple[StateVector, float
     return bob_state, fidelity
 
 
-# --- the in-process run: each party makes its moves in turn --------------------
+# --- the in-process run: the due moves, made in turn ---------------------------
+#
+# alice_bell_measure and apply_bell_correction stop a run part way, for the
+# view Bob has before Charlie cooperates (ghztp.verify).
 
 
 def alice_bell_measure(
@@ -469,21 +472,6 @@ def apply_bell_correction(session: SessionRegister, outcome: BellOutcome) -> Non
     """Bob's and Charlie's local corrections, restoring BC to alpha|00> + beta|11>."""
     for role, unitary in zip(CORRECTION_QUBIT, BELL_CORRECTION_TABLE[outcome]):
         correct(session, role, unitary)
-
-
-def charlie_measure(
-    session: SessionRegister, selector: OutcomeSelector
-) -> tuple[CharlieOutcome, ClassicalMessage]:
-    """Charlie's (|0> ± |1>)/sqrt(2) measurement of C, result sent to Bob."""
-    outcome = basis_measure(session, Role.CHARLIE, selector).outcome
-    return outcome, send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
-
-
-def bob_correct(session: SessionRegister, outcome: CharlieOutcome) -> StateVector:
-    """Bob's final conditional correction and his finish; returns his recovered
-    single-qubit state."""
-    correct(session, Role.BOB, CHARLIE_CORRECTION_TABLE[outcome])
-    return bob_finish(session, Role.BOB)[0]
 
 
 @dataclass
@@ -511,7 +499,8 @@ def run_protocol(
     seed: int | None = None,
     forced: tuple[BellOutcome, CharlieOutcome] | None = None,
 ) -> ProtocolResult:
-    """Execute all protocol phases in order and score Bob's recovered state.
+    """Run one session in process, making each due move in turn, and score
+    Bob's recovered state.
 
     Exactly one of ``seed`` (Born-rule sampling from one session PRNG) or
     ``forced`` (a fixed Bell/Charlie outcome pair) selects the branch.
@@ -526,20 +515,23 @@ def run_protocol(
         bell_selector = charlie_selector = shared
 
     session = compose_session(signal)
-    bell_outcome, _ = alice_bell_measure(session, bell_selector)
-    apply_bell_correction(session, bell_outcome)
-    charlie_outcome, _ = charlie_measure(session, charlie_selector)
-    bob_state = bob_correct(session, charlie_outcome)
-
-    bell, charlie, finished = (
-        next(e for e in session.trace.events if isinstance(e, kind))
-        for kind in (BellMeasured, CharlieMeasured, Finished)
-    )
+    while session.due:
+        role, move, value = session.due[0]
+        if move == "bell_measure":
+            bell = bell_measure(session, bell_selector)
+        elif move == "send":
+            send(session, role, RECIPIENTS[role], value)
+        elif move == "correct":
+            correct(session, role, value)
+        elif move == "basis_measure":
+            charlie = basis_measure(session, role, charlie_selector)
+        else:  # finish
+            bob_state, fidelity = bob_finish(session, role)
     return ProtocolResult(
         trace=session.trace,
         bob_state=bob_state,
-        fidelity=finished.fidelity,
+        fidelity=fidelity,
         path_probability=bell.probability * charlie.probability,
-        bell_outcome=bell_outcome,
-        charlie_outcome=charlie_outcome,
+        bell_outcome=bell.outcome,
+        charlie_outcome=charlie.outcome,
     )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghztp import netharness
+from ghztp import netharness, party
 from ghztp.netharness import (
     Coordinator,
     ComparisonReport,
@@ -565,6 +565,42 @@ def test_a_completed_session_logs_no_disconnect(make_coordinator):
     meta, _ = run_full_session(make_coordinator, SEED_ALL_CORRECTIONS, linger=0.2)
     assert "session complete" in meta
     assert not [line for line in meta if line.startswith("disconnect")]
+
+
+class _NoFinish:
+    """A party's stream that sends everything but its Finish."""
+
+    def __init__(self, stream: MessageStream):
+        self.stream = stream
+
+    def send(self, kind: Kind, body: dict):
+        if kind is not Kind.FINISH:
+            return self.stream.send(kind, body)
+
+    def recv(self):
+        return self.stream.recv()
+
+
+def test_a_session_without_bobs_finish_fails_the_comparison(make_coordinator, monkeypatch):
+    # Bob makes every move, fetch_bob_state included, and hangs up unfinished.
+    play_bob = party._run_bob
+    monkeypatch.setattr(party, "_run_bob", lambda stream, *args: play_bob(_NoFinish(stream), *args))
+    coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS, timeout=1.0)
+    results = {}
+    threads = [start_party(role, coordinator.port, results) for role in Role]
+    for thread in threads:
+        thread.join(10.0)
+    assert results == {role: 0 for role in Role}
+    assert not coordinator.wait()
+    coordinator.shutdown()
+    meta, events = read_transcript(coordinator.transcript_path)
+    assert meta[-1] == "session incomplete"
+    reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
+    assert [netharness.event_line(e) for e in events] == reference.trace.lines()
+    report = compare_transcript(reference, meta, events)
+    assert not report.match
+    assert report.problems == ["session incomplete: no Finish from bob"]
+    assert report.stalled_at is None
 
 
 def test_dropped_charlie_stalls_the_session_before_bob_finishes(make_coordinator):

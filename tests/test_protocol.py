@@ -24,8 +24,10 @@ from ghztp.qsim import (
     SeededSelector,
     ValidationError,
 )
+from ghztp import protocol
 from ghztp.protocol import (
     BELL_CORRECTION_TABLE,
+    RECIPIENTS,
     BellMeasured,
     BobCorrected,
     CharlieMeasured,
@@ -40,8 +42,8 @@ from ghztp.protocol import (
     SignalState,
     alice_bell_measure,
     apply_bell_correction,
-    bob_correct,
-    charlie_measure,
+    basis_measure,
+    bob_finish,
     compose_session,
     correct,
     event_line,
@@ -159,7 +161,8 @@ def test_charlie_outcomes_are_equiprobable():
     for k, charlie in enumerate(CharlieOutcome):
         session = forced_session(BellOutcome.PHI_PLUS)
         apply_bell_correction(session, BellOutcome.PHI_PLUS)
-        outcome, msg = charlie_measure(session, ForcedSelector(k))
+        outcome = basis_measure(session, Role.CHARLIE, ForcedSelector(k)).outcome
+        msg = send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
         assert outcome is charlie
         event = next(e for e in session.trace.events if isinstance(e, CharlieMeasured))
         assert event.probability == pytest.approx(0.5, abs=1e-12)
@@ -186,11 +189,11 @@ def test_minus_branch_needs_z_correction():
 def test_phase_order_is_enforced():
     session = compose_session(SignalState(ALPHA, BETA))
     with pytest.raises(PhaseError):
-        charlie_measure(session, ForcedSelector(0))
+        basis_measure(session, Role.CHARLIE, ForcedSelector(0))
     with pytest.raises(PhaseError):
         apply_bell_correction(session, BellOutcome.PHI_PLUS)
     with pytest.raises(PhaseError):
-        bob_correct(session, CharlieOutcome.PLUS)
+        correct(session, Role.BOB, IDENTITY)
     alice_bell_measure(session, ForcedSelector(0))
     with pytest.raises(PhaseError):
         alice_bell_measure(session, ForcedSelector(0))  # no second measurement
@@ -204,15 +207,17 @@ def test_phase_order_is_enforced():
     apply_bell_correction(session, BellOutcome.PHI_PLUS)
     with pytest.raises(PhaseError):
         apply_bell_correction(session, BellOutcome.PHI_PLUS)
-    charlie_measure(session, ForcedSelector(1))
+    outcome = basis_measure(session, Role.CHARLIE, ForcedSelector(1)).outcome
+    send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
     with pytest.raises(PhaseError):
-        charlie_measure(session, ForcedSelector(1))  # no second measurement
+        basis_measure(session, Role.CHARLIE, ForcedSelector(1))  # no second measurement
     with pytest.raises(PhaseError):
-        bob_correct(session, CharlieOutcome.PLUS)  # Minus owes Z, not I
-    bob_correct(session, CharlieOutcome.MINUS)
+        correct(session, Role.BOB, IDENTITY)  # Minus owes Z, not I
+    correct(session, Role.BOB, PAULI_Z)
+    bob_finish(session, Role.BOB)
     assert session.due == []
     with pytest.raises(PhaseError):
-        bob_correct(session, CharlieOutcome.MINUS)
+        correct(session, Role.BOB, PAULI_Z)
 
 
 @pytest.mark.parametrize("first", [Role.BOB, Role.CHARLIE])
@@ -226,13 +231,14 @@ def test_session_is_corrected_whichever_role_corrects_first(first):
         assert session.trace.lines() == lines
     correct(session, Role.BOB, PAULI_X)
     assert session.due == [(Role.CHARLIE, "correct", ZX), (Role.CHARLIE, "basis_measure", None)]
-    with pytest.raises(PhaseError):
-        charlie_measure(session, ForcedSelector(0))  # Charlie's own correction is still owed
+    with pytest.raises(PhaseError):  # Charlie's own correction is still owed
+        basis_measure(session, Role.CHARLIE, ForcedSelector(0))
     correct(session, Role.CHARLIE, ZX)
     assert session.due == [(Role.CHARLIE, "basis_measure", None)]
     want = np.kron(BELL_VECTORS[BellOutcome.PSI_MINUS], np.array(COMMON_FORM, dtype=complex))
     assert np.allclose(session.state.amplitudes, want, atol=1e-12)
-    charlie_measure(session, ForcedSelector(0))
+    outcome = basis_measure(session, Role.CHARLIE, ForcedSelector(0)).outcome
+    send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
     assert session.due == [(Role.BOB, "correct", IDENTITY), (Role.BOB, "finish", None)]
 
 
@@ -258,8 +264,10 @@ def test_an_owed_identity_never_holds_the_session_back():
     session = forced_session(BellOutcome.PHI_MINUS)  # Bob owes I, Charlie owes Z
     correct(session, Role.CHARLIE, PAULI_Z)
     assert session.due == [(Role.CHARLIE, "basis_measure", None)]
-    charlie_measure(session, ForcedSelector(0))  # Plus: Bob's final correction is I
-    bob_state = bob_correct(session, CharlieOutcome.PLUS)
+    outcome = basis_measure(session, Role.CHARLIE, ForcedSelector(0)).outcome
+    send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], outcome)
+    correct(session, Role.BOB, IDENTITY)  # Plus: Bob's final correction is I
+    bob_state, _ = bob_finish(session, Role.BOB)
     assert abs(np.vdot(bob_state.amplitudes, [ALPHA, BETA])) == pytest.approx(1.0, abs=1e-10)
     assert not any(isinstance(e, CorrectionApplied) and e.role is Role.BOB
                    for e in session.trace.events)
@@ -279,7 +287,8 @@ def test_each_outcome_is_sent_once_to_the_roles_that_need_it():
         with pytest.raises(PhaseError):
             send(session, sender, recipients, payload)
     apply_bell_correction(session, outcome)
-    charlie_measure(session, ForcedSelector(0))
+    charlie = basis_measure(session, Role.CHARLIE, ForcedSelector(0)).outcome
+    send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], charlie)
     assert [m.seq for m in session.trace.messages()] == [1, 2]
 
 
@@ -351,12 +360,48 @@ def test_message_sender_cannot_receive_own_message():
         ClassicalMessage(1, Role.ALICE, frozenset({Role.ALICE}), BellOutcome.PHI_PLUS)
 
 
+# The kernel calls of one run, as bench/ counts them (qsim.calls_per_session).
+KERNEL_SEQUENCE = [
+    "measure_bell",
+    "apply_single",
+    "apply_single",
+    "measure_in_basis",
+    "apply_single",
+    "partial_trace",
+    "partial_trace",
+]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The name of each qsim kernel called through ghztp.protocol, in order."""
+    calls = []
+    for name in dict.fromkeys(KERNEL_SEQUENCE):
+        def record(*args, _name=name, _kernel=getattr(protocol, name), **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, record)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{"seed": 7}] + [{"forced": pair} for pair in itertools.product(BellOutcome, CharlieOutcome)],
+    ids=lambda p: f"seed-{p['seed']}" if "seed" in p else "-".join(o.value for o in p["forced"]),
+)
+def test_a_run_makes_its_seven_kernel_calls_in_order(kernel_calls, policy):
+    run_protocol(SignalState(ALPHA, BETA), **policy)
+    assert kernel_calls == KERNEL_SEQUENCE
+
+
 def test_seeded_selector_sharing_consumes_in_order():
     # One PRNG drives both draws: bell first, charlie second.
     selector = SeededSelector(5)
     session = compose_session(SignalState(ALPHA, BETA))
     bell, _ = alice_bell_measure(session, selector)
     apply_bell_correction(session, bell)
-    charlie, _ = charlie_measure(session, selector)
+    charlie = basis_measure(session, Role.CHARLIE, selector).outcome
+    send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], charlie)
     result = run_protocol(SignalState(ALPHA, BETA), seed=5)
     assert (result.bell_outcome, result.charlie_outcome) == (bell, charlie)
