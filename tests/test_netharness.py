@@ -567,7 +567,7 @@ def test_a_completed_session_logs_no_disconnect(make_coordinator):
     assert not [line for line in meta if line.startswith("disconnect")]
 
 
-class _NoFinish:
+class WithoutFinish:
     """A party's stream that sends everything but its Finish."""
 
     def __init__(self, stream: MessageStream):
@@ -584,7 +584,11 @@ class _NoFinish:
 def test_a_session_without_bobs_finish_fails_the_comparison(make_coordinator, monkeypatch):
     # Bob makes every move, fetch_bob_state included, and hangs up unfinished.
     play_bob = party._run_bob
-    monkeypatch.setattr(party, "_run_bob", lambda stream, *args: play_bob(_NoFinish(stream), *args))
+
+    def unfinished_bob(stream, *args):
+        return play_bob(WithoutFinish(stream), *args)
+
+    monkeypatch.setattr(party, "_run_bob", unfinished_bob)
     coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS, timeout=1.0)
     results = {}
     threads = [start_party(role, coordinator.port, results) for role in Role]
