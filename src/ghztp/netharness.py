@@ -1,7 +1,8 @@
 """The protocol over TCP: a coordinator that drives the protocol engine for
 the party clients of :mod:`ghztp.party`. ``orchestrate`` serves the session
-in the calling process and spawns one party host, which forks the three
-parties as their own processes (so it needs ``os.fork``: POSIX only).
+in the calling process and forks the three parties from it, each its own
+process that acts only through its socket (so it needs ``os.fork``: POSIX
+only).
 
 Amplitudes cannot be physically distributed in a classical simulation, so
 the coordinator holds the only session register and parties act on it
@@ -30,13 +31,8 @@ once, with no poll to wait out.
 from __future__ import annotations
 
 import contextlib
-import json
-import os
-import select
 import selectors
 import socket
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -45,14 +41,14 @@ from collections import deque, namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from signal import SIGKILL, SIGTERM
 
 from .qsim import NAMED_UNITARIES, SeededSelector
 from .party import (  # noqa: F401 (re-exported)
     DEFAULT_TIMEOUT,
-    STDERR_TAIL,
     PartyConfig,
     PartyError,
+    _spawn,
+    _terminate,
     run_party,
 )
 from .protocol import (
@@ -95,9 +91,6 @@ from .wire import (
 # Characters of an Error's text a party is sent. The text may quote the
 # request, and the Error must still fit in one line under the wire's cap.
 MAX_ERROR_TEXT = 1000
-
-# The directory this ghztp was imported from; party children import it from there too.
-PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 
 # Where each role's script stops when orchestrate is asked to drop it; the
 # dropped party joins, then goes silent right before this step.
@@ -240,12 +233,17 @@ class Coordinator:
     def wait(self, timeout: float | None = None) -> bool:
         return self._done.wait(self.timeout if timeout is None else timeout)
 
-    def shutdown(self) -> None:
-        """Stop the loop, close the listener and every connection, and end
-        the transcript. A party cut off here gets no ``# disconnect`` line."""
+    def stop(self) -> None:
+        """Stop the loop: nothing more is read or written, and every
+        connection stays open until :meth:`shutdown`."""
         if self._thread.is_alive():
             self._waker.send(b"\0")
             self._thread.join()
+
+    def shutdown(self) -> None:
+        """Stop the loop, close the listener and every connection, and end
+        the transcript. A party cut off here gets no ``# disconnect`` line."""
+        self.stop()
         if self._transcript.closed:
             return
         for conn in self._connections:
@@ -565,7 +563,7 @@ class ComparisonReport:
     net_fidelity: float | None = None
     reference_fidelity: float = 0.0
     transcript: str = ""
-    # Each role's exit code and stderr tail, as the party host reported them.
+    # Each role's exit code and the tail of its stderr.
     parties: dict[str, dict] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -650,55 +648,6 @@ def compare_transcript(
     return report
 
 
-def _spawn(args: list[str]) -> subprocess.Popen:
-    """Start ``ghztp <args>`` on this process's ghztp, leading a process group
-    of its own; its output is read as it is reaped."""
-    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.Popen(
-        [sys.executable, "-m", "ghztp", *args],
-        env={**os.environ, "PYTHONPATH": path},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        start_new_session=True,
-    )
-
-
-def _reported(host: subprocess.Popen) -> bytes:
-    """What the party host has written to stdout so far, without waiting.
-    Its few short lines fit in the pipe, so one read takes them all."""
-    fd = host.stdout.fileno()
-    return os.read(fd, 1 << 16) if select.select([fd], [], [], 0)[0] else b""
-
-
-def _party_lines(output: bytes) -> dict[str, dict]:
-    """The party host's lines, by role; a line not yet ended is left out."""
-    lines = (json.loads(line) for line in output.splitlines(keepends=True) if line.endswith(b"\n"))
-    return {line["role"]: line for line in lines}
-
-
-def _terminate(host: subprocess.Popen, grace: float) -> tuple[bytes, str]:
-    """Reap the party host; returns its stdout and the tail of its stderr.
-
-    If it is not done after ``grace`` seconds, SIGTERM its process group:
-    the parties end, and the host, which ignores it, reaps and reports them,
-    so no process is left behind unreaped. SIGKILL ends a group that is
-    still there after the default timeout. A group that is gone already
-    (the host exited and took its parties with it) is no error.
-    """
-    try:
-        out, err = host.communicate(timeout=grace)
-    except subprocess.TimeoutExpired:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(host.pid, SIGTERM)
-        try:
-            out, err = host.communicate(timeout=DEFAULT_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(host.pid, SIGKILL)
-            out, err = host.communicate()
-    return out, err.decode("utf-8", "replace")[-STDERR_TAIL:].strip()
-
-
 def orchestrate(
     signal: SignalState,
     seed: int,
@@ -711,75 +660,67 @@ def orchestrate(
     """Serve one session in this process to three party processes, then
     compare it with the in-process run of the same (signal, seed).
 
-    One ``ghztp net party`` host is spawned with all three roles; it forks a
-    process per role and reports each one's exit code and stderr tail.
-    With ``drop`` set, that party joins and then goes silent at its scripted
-    step; the session must then stall instead of finishing.
+    The parties are forks of this process, one per role, each playing its
+    script through its own socket as ``ghztp net party`` would; they carry
+    only a PartyConfig, never the signal or the seed. Each one's exit code
+    and stderr tail go into the report. With ``drop`` set, that party joins
+    and then goes silent at its scripted step; the session must then stall
+    instead of finishing.
     """
     reference = run_protocol(signal, seed=seed)
     directory = Path(transcript_dir) if transcript_dir else Path(tempfile.mkdtemp(prefix="ghztp-"))
     directory.mkdir(parents=True, exist_ok=True)
     transcript = directory / "net-transcript.log"
 
+    def failed(problem: str) -> ComparisonReport:
+        return ComparisonReport(match=False, problems=[problem],
+                                reference_fidelity=reference.fidelity, transcript=str(transcript))
+
     try:
         coordinator = Coordinator(signal, seed, transcript, host, port, timeout)
     except OSError as exc:
         # open() names its file, bind() names none
         cause = f"cannot open transcript {transcript}" if exc.filename else f"cannot bind {host}:{port}"
-        return ComparisonReport(
-            match=False,
-            problems=[f"coordinator failed to start: {cause}: {exc}"],
-            reference_fidelity=reference.fidelity,
-            transcript=str(transcript),
-        )
-    party_host: subprocess.Popen | None = None
-    early = out = b""
-    host_tail = ""
-    done = on_its_own = False
+        return failed(f"coordinator failed to start: {cause}: {exc}")
+    # Each drop stage occurs in that role's script only.
+    config = PartyConfig(host, coordinator.port, timeout, DROP_STAGE.get(drop))
+    # The session's time runs from before the parties start theirs, so the
+    # coordinator gives up on a stalled session before they do.
+    deadline = time.monotonic() + timeout
+    try:
+        # Forked before the serving thread starts, so this process has one
+        # thread to fork; a party that connects early waits in the backlog.
+        parties = _spawn(Role, config)
+    except OSError as exc:
+        coordinator.shutdown()
+        return failed(str(exc))
+    done = False
     try:
         coordinator.start()
-        party_args = [
-            "net", "party",
-            "--role", *(role.value for role in Role),
-            "--host", host,
-            "--port", str(coordinator.port),
-            "--timeout", repr(timeout),
-        ]
-        if drop is not None:
-            # Each drop stage occurs in that role's script only.
-            party_args += ["--stop-before", DROP_STAGE[drop]]
-        party_host = _spawn(party_args)
-        done = coordinator.wait()
+        done = coordinator.wait(deadline - time.monotonic())
     finally:
-        # A party waits on the coordinator no longer than the coordinator waits
-        # on the session, so one reported by now exited on its own.
-        if party_host is not None:
-            early = _reported(party_host)
-            on_its_own = party_host.poll() is not None
+        # Parties of a finished session are on their way out: let them exit.
+        # After a stall the ones still waiting are killed on open connections,
+        # which the stopped coordinator neither reads nor writes about.
+        coordinator.stop()
+        reaped = _terminate(parties, timeout if done else 0.0)
         coordinator.shutdown()
-        if party_host is not None:
-            # Parties of a finished session are on their way out: let them exit.
-            out, host_tail = _terminate(party_host, timeout if done else 0.0)
 
     meta, events = read_transcript(transcript)
     report = compare_transcript(reference, meta, events)
     report.transcript = str(transcript)
-    lines = _party_lines(early + out)
-    exited = _party_lines(early)
-    # After a stall the parties still waiting are killed; only a party that
-    # failed on its own can say why the session stalled.
+    # Only a failed party whose move the session stalled at can say why; the
+    # others were still waiting.
+    stalled = (report.stalled_role or "").split(",")
     for role in Role:
-        line = lines.get(role.value)
-        if line is not None:
-            report.parties[role.value] = {"exit": line["exit"], "stderr": line["stderr"]}
-            if line["exit"] != 0 and (report.stalled_role is None or role.value in exited):
-                report.problems.append(
-                    f"party {role.value} exited with {line['exit']}, stderr ends {line['stderr']!r}"
-                )
-    if (len(lines) < len(Role) and party_host.returncode != 0
-            and (report.stalled_role is None or on_its_own)):
-        report.problems.append(
-            f"party host exited with {party_host.returncode}, stderr ends {host_tail!r}"
-        )
+        party = reaped.get(role)
+        if party is None:
+            report.problems.append(f"party {role.value} did not exit")
+            continue
+        report.parties[role.value] = party
+        if party["exit"] != 0 and (report.stalled_role is None or role.value in stalled):
+            report.problems.append(
+                f"party {role.value} exited with {party['exit']}, stderr ends {party['stderr']!r}"
+            )
     report.match = not report.problems
     return report

@@ -11,6 +11,8 @@ is a party host: one interpreter that imports this closure once and then
 forks one process per role, so each party still acts alone on its share.
 The host reaps every party and writes one JSON line per party to its
 standard output: ``{"role": ..., "exit": ..., "stderr": ...}``.
+``ghztp.netharness.orchestrate`` forks and reaps its parties with the same
+``_spawn`` and ``_terminate``, straight from its own process.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import socket
 import sys
+import time
 from collections import namedtuple
 
 from .vocab import (
@@ -240,8 +243,10 @@ def cmd_net_party(args) -> int:
     config = PartyConfig(
         host=args.host, port=args.port, timeout=args.timeout, stop_before=args.stop_before
     )
-    # A role from GHZTP_ROLE arrives as one string, from the command line as a list.
-    roles = [Role(r) for r in ([args.role] if isinstance(args.role, str) else args.role)]
+    # A role from GHZTP_ROLE arrives as one string, from the command line as a
+    # list; a role given twice is played once, as a session admits it once.
+    roles = list(dict.fromkeys(Role(r) for r in ([args.role] if isinstance(args.role, str)
+                                                 else args.role)))
     if len(roles) == 1:
         return play(roles[0], config)
     return host_parties(roles, config)
@@ -261,49 +266,58 @@ def play(role: Role, config: PartyConfig) -> int:
 
 def host_parties(roles: list[Role], config: PartyConfig) -> int:
     """Fork one process per role, each playing it as ``net party --role`` would,
-    and reap them all; returns the first non-zero exit code in role order.
+    reap them all and write one JSON line per party in role order; returns the
+    first non-zero exit code in role order."""
+    reaped = _terminate(_spawn(roles, config), float("inf"))
+    for role in roles:
+        print(json.dumps({"role": role.value, **reaped[role]}), flush=True)
+    code = next((reaped[role]["exit"] for role in roles if reaped[role]["exit"]), 0)
+    return code if code >= 0 else 128 - code  # killed by a signal: as a shell reports it
+
+
+def _spawn(roles, config: PartyConfig) -> dict:
+    """Fork one party per role; returns ``{pid: (role, stderr file)}``.
 
     Each party's stderr goes to its own unlinked file, so a flood never
-    blocks it. The host ignores SIGTERM: a SIGTERM to its process group ends
-    the parties, and the host still reaps and reports them.
+    blocks it. If a fork fails, the parties already forked are ended and
+    reaped, and an OSError names the role that could not be forked.
     """
-    import signal
     import tempfile
 
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     parties = {}
     for role in roles:
         stderr = tempfile.TemporaryFile()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            stderr.close()
+            _terminate(parties, 0.0)
+            raise OSError(f"cannot fork party {role.value}: {exc}") from exc
         if pid == 0:
             _party_child(role, config, stderr.fileno())
         parties[pid] = (role, stderr)
-    codes = {}
-    while parties:
-        pid, status = os.waitpid(-1, 0)
-        role, stderr = parties.pop(pid)
-        codes[role] = os.waitstatus_to_exitcode(status)
-        print(json.dumps({"role": role.value, "exit": codes[role], "stderr": _tail(stderr)}),
-              flush=True)
-        stderr.close()
-    code = next((codes[role] for role in roles if codes[role]), 0)
-    return code if code >= 0 else 128 - code  # killed by a signal: as a shell reports it
+    return parties
 
 
 def _party_child(role: Role, config: PartyConfig, stderr: int):
     """The forked party: play ``role`` with stdout to the null device and
-    stderr to ``stderr``, then end the process without returning."""
+    stderr to ``stderr``, holding no other descriptor of the process it was
+    forked from, then end the process without returning."""
+    import gc
     import signal
 
     code = 1  # as for an uncaught exception
     try:
+        # Collecting the caller's garbage here could close a descriptor number
+        # that is by then this party's own.
+        gc.disable()
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.dup2(stderr, 2)
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
-        os.close(null)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdout = open(1, "w")
+        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace")
         code = play(role, config)
     except BaseException:
         import traceback
@@ -314,6 +328,43 @@ def _party_child(role: Role, config: PartyConfig, stderr: int):
             sys.stderr.flush()
         finally:
             os._exit(code)
+
+
+def _reap(parties: dict, wait: float) -> dict:
+    """Reap each party of ``parties`` that ends within ``wait`` seconds and
+    take it out; returns ``{role: {"exit": ..., "stderr": ...}}`` of those."""
+    deadline = time.monotonic() + wait
+    delay = 0.0005
+    reaped = {}
+    while True:
+        for pid in list(parties):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                role, stderr = parties.pop(pid)
+                reaped[role] = {"exit": os.waitstatus_to_exitcode(status), "stderr": _tail(stderr)}
+                stderr.close()
+        left = deadline - time.monotonic()
+        if not parties or left <= 0:
+            return reaped
+        time.sleep(min(delay, left))
+        delay = min(2 * delay, 0.05)
+
+
+def _terminate(parties: dict, grace: float) -> dict:
+    """Reap the parties ``_spawn`` forked, as :func:`_reap` reports them.
+
+    A party not done after ``grace`` seconds gets SIGTERM, and one still
+    there DEFAULT_TIMEOUT seconds later gets SIGKILL. One that is still
+    unreaped DEFAULT_TIMEOUT seconds after that is left out.
+    """
+    import signal
+
+    reaped = _reap(parties, grace)
+    for signum in (signal.SIGTERM, signal.SIGKILL):
+        for pid in parties:  # not reaped, so the pid is still this party's
+            os.kill(pid, signum)
+        reaped.update(_reap(parties, DEFAULT_TIMEOUT))
+    return reaped
 
 
 def _tail(stderr) -> str:

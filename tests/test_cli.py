@@ -1,6 +1,7 @@
 """Exit codes, output formats, and JSON round-trips for every subcommand."""
 
 import json
+import os
 import socket
 
 import pytest
@@ -245,12 +246,10 @@ def test_a_malformed_environment_default_fails_only_the_net_commands(
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
 def test_a_timeout_must_be_a_positive_finite_number(capsys, monkeypatch, value):
-    from ghztp import netharness
-
-    def no_process(*args, **kwargs):
+    def no_process():
         raise AssertionError("a usage error started a process")
 
-    monkeypatch.setattr(netharness.subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
     for argv in (
         ["net", "orchestrate", "--timeout", value],
         ["net", "serve", "--timeout", value],
@@ -266,12 +265,10 @@ def test_a_timeout_must_be_a_positive_finite_number(capsys, monkeypatch, value):
 
 @pytest.mark.parametrize("value", ["70000", "-5"])
 def test_a_port_must_be_a_port_number(capsys, monkeypatch, value):
-    from ghztp import netharness
-
-    def no_process(*args, **kwargs):
+    def no_process():
         raise AssertionError("a usage error started a process")
 
-    monkeypatch.setattr(netharness.subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
     for argv in (
         ["net", "orchestrate", "--port", value],
         ["net", "serve", "--port", value],

@@ -1,12 +1,13 @@
 """Coordinator/party tests over real loopback sockets, plus transcript tooling."""
 
 import contextlib
+import errno
 import json
 import os
+import re
 import select
 import socket
-import subprocess
-import textwrap
+import sys
 import threading
 import time
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghztp import netharness, party
+from ghztp import cli, netharness, party
 from ghztp.netharness import (
     Coordinator,
     ComparisonReport,
@@ -729,25 +730,22 @@ def test_read_transcript_splits_meta_from_events(tmp_path):
 
 
 def test_orchestrate_matches_bitwise_for_a_tiny_negative_amplitude(tmp_path, monkeypatch):
-    popen = subprocess.Popen
-    spawned = []
+    def play(role, config):  # writes what it was given to its stderr, then plays
+        print(role.value, repr(config), file=sys.stderr)
+        return PLAY(role, config)
 
-    def recording_popen(argv, **kwargs):
-        spawned.append(list(argv))
-        return popen(argv, **kwargs)
-
-    monkeypatch.setattr(netharness.subprocess, "Popen", recording_popen)
-    # repr(-3e-05) reads as an option on a command line; the signal never goes on one.
+    patch_play(monkeypatch, play)
+    # repr(-3e-05) would read as an option on a command line; the parties never see the signal.
     signal = SignalState(complex(-3e-05, 0), 1)
     report = orchestrate(signal, seed=1, timeout=10.0, transcript_dir=tmp_path)
     assert report.match, report.problems
     assert report.net_fidelity == report.reference_fidelity == run_protocol(signal, seed=1).fidelity
 
-    # One party host carries all three roles.
-    (argv,) = spawned
-    assert argv[1:5] == ["-m", "ghztp", "net", "party"]
-    assert argv[argv.index("--role") + 1:][:4] == ["alice", "bob", "charlie", "--host"]
-    assert not any("e-05" in arg or "alpha" in arg for arg in argv)
+    # A party receives only a PartyConfig: no signal, no seed.
+    for role in Role:
+        stderr = report.parties[role.value]["stderr"]
+        assert re.fullmatch(rf"{role.value} PartyConfig\(host='127\.0\.0\.1', port=\d+, "
+                            r"timeout=10\.0, stop_before=None\)", stderr), stderr
 
 
 def test_orchestrate_on_an_occupied_port_reports_that_the_coordinator_failed(tmp_path):
@@ -785,46 +783,32 @@ def test_orchestrate_names_a_transcript_it_cannot_open(tmp_path):
     assert problem.startswith(f"coordinator failed to start: cannot open transcript {transcript}: ")
 
 
-def host_with_bob(monkeypatch, bob: str) -> None:
-    """Make orchestrate's party host play Bob as ``bob``, the body of a
-    function of ``role`` and ``config`` that may call the real ``play``.
-
-    The host runs from a ``-c`` bootstrap that patches :mod:`ghztp.party` and
-    then calls the same entry as ``python -m ghztp``.
-    """
-    bootstrap = (
-        "import sys\n"
-        "from ghztp import __main__, party\n"
-        "play = party.play\n"
-        "def faulty(role, config):\n"
-        "    if role is not party.Role.BOB:\n"
-        "        return play(role, config)\n"
-        + textwrap.indent(bob, "    ")
-        + "party.play = faulty\n"
-        "sys.exit(__main__.main(sys.argv[1:]))\n"
-    )
-    popen = subprocess.Popen
-
-    def spawn_host(argv, **kwargs):
-        assert argv[1:3] == ["-m", "ghztp"]
-        return popen([argv[0], "-c", bootstrap, *argv[3:]], **kwargs)
-
-    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_host)
+# The real play, which a patched one may call.
+PLAY = party.play
 
 
-# Plays Bob's part in full, then floods stderr past a pipe's 64 KiB and fails.
-FLOODING_BOB = (
-    "play(role, config)\n"
-    "sys.stderr.write('x' * 100_000 + ' last words')\n"
-    "return 3\n"
-)
+def patch_play(monkeypatch, play, roles=tuple(Role)) -> None:
+    """Make each party of ``roles`` that orchestrate forks run ``play`` in
+    place of the real one; the forks inherit this process's ``party.play``."""
+    monkeypatch.setattr(party, "play",
+                        lambda role, config: (play if role in roles else PLAY)(role, config))
 
-# Fails before it joins.
-FAILING_BOB = "print('bob cannot start', file=sys.stderr)\nreturn 1\n"
+
+def flooding_bob(role, config):
+    """Plays Bob's part in full, then floods stderr past a pipe's 64 KiB and fails."""
+    PLAY(role, config)
+    sys.stderr.write("x" * 100_000 + " last words")
+    return 3
+
+
+def failing_bob(role, config):
+    """Fails before it joins."""
+    print("bob cannot start", file=sys.stderr)
+    return 1
 
 
 def test_a_party_that_floods_stderr_and_fails_is_reaped_and_reported(tmp_path, monkeypatch):
-    host_with_bob(monkeypatch, FLOODING_BOB)
+    patch_play(monkeypatch, flooding_bob, [Role.BOB])
     report = orchestrate(SIGNAL, seed=0, timeout=10.0, transcript_dir=tmp_path)
 
     assert not report.match
@@ -843,7 +827,7 @@ def test_orchestrate_needs_no_pythonpath(tmp_path, monkeypatch):
 
 
 def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
-    host_with_bob(monkeypatch, FAILING_BOB)
+    patch_play(monkeypatch, failing_bob, [Role.BOB])
     report = orchestrate(SIGNAL, seed=0, timeout=2.0, transcript_dir=tmp_path)
 
     assert not report.match
@@ -857,49 +841,82 @@ def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
     assert sorted(report.parties) == ["alice", "bob", "charlie"]
 
 
-def test_a_party_host_that_fails_before_it_forks_is_reported(tmp_path, monkeypatch):
-    popen = subprocess.Popen
+# What os.fork raises when the process limit is reached.
+FORK_ERROR = OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    def spawn_failing_host(argv, **kwargs):
-        return popen([argv[0], "-c", "import sys; sys.exit('host cannot start')"], **kwargs)
 
-    monkeypatch.setattr(netharness.subprocess, "Popen", spawn_failing_host)
-    report = orchestrate(SIGNAL, seed=0, timeout=2.0, transcript_dir=tmp_path)
+def recording_fork(monkeypatch, fail_on: int | None = None) -> list[int]:
+    """Record the pid of every party orchestrate forks; with ``fail_on``, that
+    call of ``os.fork`` (counted from 1) raises instead."""
+    fork = os.fork
+    pids = []
 
-    assert (report.stalled_role, report.stalled_at) == ("alice,bob,charlie", "Join")
-    assert report.problems == [
-        "session stalled at Join",
-        "party host exited with 1, stderr ends 'host cannot start'",
-    ]
-    assert report.parties == {}
+    def forking():
+        if len(pids) + 1 == fail_on:
+            raise FORK_ERROR
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", forking)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_a_fork_that_fails_part_way_leaves_no_process(tmp_path, monkeypatch, capsys):
+    pids = recording_fork(monkeypatch, fail_on=2)
+    report = orchestrate(SIGNAL, seed=0, timeout=5.0, transcript_dir=tmp_path)
+
+    assert report.problems == [f"cannot fork party bob: {FORK_ERROR}"]
+    assert (report.match, report.stalled_at, report.parties) == (False, None, {})
+    assert len(pids) == 1  # Alice's
+    assert_reaped(pids)
+    # The coordinator was shut down: its transcript is closed.
+    assert (tmp_path / "net-transcript.log").read_text().endswith("# session incomplete\n")
+
+    # ghztp net orchestrate reports it as a failed check, not a traceback.
+    pids.clear()
+    assert cli.main(["net", "orchestrate", "--transcript-dir", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == f"problem: cannot fork party bob: {FORK_ERROR}\n"
+    assert_reaped(pids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_forked_party_holds_none_of_the_callers_descriptors(tmp_path, monkeypatch):
+    def play(role, config):
+        print(json.dumps(os.listdir("/proc/self/fd")), file=sys.stderr)
+        return PLAY(role, config)
+
+    patch_play(monkeypatch, play)
+    report = orchestrate(SIGNAL, seed=0, timeout=10.0, transcript_dir=tmp_path)
+    assert report.match, report.problems
+    for role in Role:
+        fds = {int(fd) for fd in json.loads(report.parties[role.value]["stderr"])}
+        # 0, 1 and 2, and the descriptor os.listdir opened to list them
+        assert {0, 1, 2} < fds and len(fds) == 4, (role, sorted(fds))
 
 
 @pytest.mark.parametrize("drop, bob, problems", [
     pytest.param(None, None, [], id="completed"),
     pytest.param(Role.CHARLIE, None, ["session stalled at CharlieMeasure"], id="drop-charlie"),
-    pytest.param(None, FAILING_BOB, ["session stalled at Join",
+    pytest.param(None, failing_bob, ["session stalled at Join",
                                      "party bob exited with 1, stderr ends 'bob cannot start'"],
                  id="failing-bob"),
 ])
 def test_no_process_outlives_orchestrate(tmp_path, monkeypatch, drop, bob, problems):
     if bob is not None:
-        host_with_bob(monkeypatch, bob)
-    popen = subprocess.Popen
-    hosts = []
-
-    def recording_popen(argv, **kwargs):
-        hosts.append(popen(argv, **kwargs))
-        return hosts[-1]
-
-    monkeypatch.setattr(netharness.subprocess, "Popen", recording_popen)
+        patch_play(monkeypatch, bob, [Role.BOB])
+    pids = recording_fork(monkeypatch)
     report = orchestrate(SIGNAL, seed=0, drop=drop, timeout=2.0, transcript_dir=tmp_path)
     assert report.problems == problems
-
-    (host,) = hosts
-    assert host.returncode is not None
-    # The host led its own process group; the parties were in it too.
-    with pytest.raises(ProcessLookupError):
-        os.killpg(host.pid, 0)
+    assert len(pids) == 3
+    assert_reaped(pids)
 
 
 # --- repeat runs, shutdown, and a fuzzer ------------------------------------------

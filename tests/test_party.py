@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ghztp
-from ghztp import cli, netharness
+from ghztp import cli
 from ghztp.netharness import Coordinator
 from ghztp.protocol import Role, SignalState
 
@@ -92,35 +92,32 @@ def test_a_party_process_never_imports_numpy(tmp_path):
         assert "ghztp.wire" in modules  # the log was read
 
 
-def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_path, monkeypatch):
-    popen = subprocess.Popen
-    logs = []
-
-    def importtime_popen(argv, **kwargs):
-        proc = popen([argv[0], "-X", "importtime", *argv[1:]], **kwargs)
-        communicate = proc.communicate
-
-        def communicate_and_keep_stderr(*args, **kwargs):
-            # orchestrate keeps only the tail of the host's stderr
-            out, err = communicate(*args, **kwargs)
-            logs.append(err.decode())
-            return out, err
-
-        proc.communicate = communicate_and_keep_stderr
-        return proc
-
-    monkeypatch.setattr(netharness.subprocess, "Popen", importtime_popen)
-    report = netharness.orchestrate(SignalState(0.6, 0.8), seed=0, timeout=10.0,
-                                    transcript_dir=tmp_path)
-    assert report.match, report.problems
-    (log,) = logs  # one party host
+def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_path):
+    # A party host run by hand is the lean path: net orchestrate forks its
+    # parties from a process that has the simulator imported.
+    coordinator = Coordinator(SignalState(0.6, 0.8), seed=0, transcript_path=tmp_path / "t.log",
+                              timeout=10.0)
+    coordinator.start()
+    try:
+        host = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "ghztp", "net", "party",
+             "--role", "alice", "bob", "charlie", "--port", str(coordinator.port), "--timeout", "10"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert coordinator.wait(10.0)
+    finally:
+        coordinator.shutdown()
+        out, log = host.communicate(timeout=10)
+    assert host.returncode == 0, log[-500:]
     modules = imported_by_ghztp(log)
     assert "ghztp.wire" in modules  # the log was read
     unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
     assert not unwanted, sorted(unwanted)
     # A forked party's stderr holds what -X importtime prints for each import
     # after the fork; there is none, not even the idna codec when it connects.
-    assert report.parties == {role.value: {"exit": 0, "stderr": ""} for role in Role}
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"role": role.value, "exit": 0, "stderr": ""} for role in Role
+    ]
 
 
 def test_a_party_host_plays_every_role_against_a_coordinator(tmp_path):
@@ -160,6 +157,17 @@ def test_a_party_host_reports_each_party_that_cannot_connect():
     for line in lines:
         assert line["exit"] == cli.EXIT_CONNECTION
         assert line["stderr"].startswith("connection error: ")
+
+
+def test_a_role_given_twice_is_played_once(capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]  # closed once the probe is
+    # One role left: played in this process, with no host and no JSON line.
+    code = cli.main(["net", "party", "--role", "bob", "bob", "--port", str(port), "--timeout", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_CONNECTION, "")
+    assert err.startswith("connection error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags, args, env, code", [
