@@ -26,6 +26,9 @@ One thread serves a session: a ``selectors`` loop over the listening socket
 and every party's connection, which handles one message at a time. Shutdown
 wakes that loop, joins it, and closes the listener and every connection at
 once, with no poll to wait out.
+
+``orchestrate`` names a session that stopped short from the coordinator's
+state (see :func:`infer_stall`), never from the transcript's text.
 """
 
 from __future__ import annotations
@@ -52,18 +55,13 @@ from .party import (  # noqa: F401 (re-exported)
     run_party,
 )
 from .protocol import (
-    BellMeasured,
     BobCorrected,
-    CharlieMeasured,
-    ClassicalMessage,
     CorrectionApplied,
     Finished,
-    GhzPrepared,
     NotYet,
     PhaseError,
     ProtocolResult,
     SessionRegister,
-    SignalPrepared,
     SignalState,
     TraceEvent,
     basis_measure,
@@ -193,10 +191,14 @@ class Coordinator:
         self.transcript_path = Path(transcript_path)
 
         self._selector = SeededSelector(seed)
-        self._session: SessionRegister | None = None  # None until prepared
+        # The register, the roles that ever said Hello and the roles that sent
+        # Finish: read them once the loop has stopped.
+        self.session: SessionRegister | None = None  # None until prepared
+        self.helloed: set[Role] = set()
+        self.finished: set[Role] = set()
         self._written = 0  # trace events already in the transcript
         self._streams: dict[Role, MessageStream] = {}
-        self._finished: set[Role] = set()
+        self._granted = False
         self._done = threading.Event()
         self._connections: dict[_Connection, None] = {}  # open ones, in accept order
         self._ready: deque[_Connection] = deque()  # may have lines to handle
@@ -262,12 +264,6 @@ class Coordinator:
             return self.wait(timeout)
         finally:
             self.shutdown()
-
-    def state_fingerprint(self) -> int | None:
-        """Hash of the exact amplitude bits; None before preparation."""
-        # A move replaces the state, which is immutable, so no lock is needed.
-        session = self._session
-        return None if session is None else hash(session.state)
 
     # -- the loop ---------------------------------------------------------------
 
@@ -406,15 +402,15 @@ class Coordinator:
         except PhaseError as exc:
             raise _SessionError(ERR_PHASE, str(exc)) from None
         finally:
-            if self._session is not None:
-                for event in self._session.trace.events[self._written:]:
+            if self.session is not None:
+                for event in self.session.trace.events[self._written:]:
                     self._transcript.write(event_line(event) + "\n")
-                self._written = len(self._session.trace.events)
+                self._written = len(self.session.trace.events)
 
     def _prepared(self) -> SessionRegister:
-        if self._session is None:
+        if self.session is None:
             raise _SessionError(ERR_PHASE, "session not prepared")
-        return self._session
+        return self.session
 
     # -- message handlers ----------------------------------------------------
 
@@ -425,7 +421,12 @@ class Coordinator:
             raise _SessionError(ERR_FRAME, f"Hello needs a valid role, got {body!r}")
         if role in self._streams:
             raise _SessionError(ERR_ROLE_TAKEN, f"role {role.value} already connected")
+        # A role that leaves before the Grant may join again; after it, none
+        # may, or every party would be granted the session a second time.
+        if self._granted:
+            raise _SessionError(ERR_ROLE_TAKEN, f"role {role.value} left a started session")
         self._streams[role] = stream
+        self.helloed.add(role)
         self._meta(f"hello role={role.value}")
         if len(self._streams) == len(Role):
             # Grant doubles as the session-start signal for every party.
@@ -434,22 +435,23 @@ class Coordinator:
                     Kind.GRANT,
                     {"role": granted_role.value, "qubits": QUBITS_OF[granted_role]},
                 )
+            self._granted = True
         return role
 
     def detach(self, role: Role) -> None:
         # Only a party that leaves before its Finish can explain a stall; after
         # it, whether the line lands before shutdown would vary from run to run.
-        if self._streams.pop(role, None) is not None and role not in self._finished:
+        if self._streams.pop(role, None) is not None and role not in self.finished:
             self._meta(f"disconnect role={role.value}")
 
     def finish(self, role: Role) -> None:
-        self._finished.add(role)
+        self.finished.add(role)
         self._meta(f"finish role={role.value}")
         self._check_done()
 
     def _check_done(self) -> None:
-        session = self._session
-        if session is not None and not session.due and self._finished == set(Role):
+        session = self.session
+        if session is not None and not session.due and self.finished == set(Role):
             self._done.set()
 
     def classical(self, role: Role, body: dict) -> None:
@@ -503,9 +505,9 @@ class Coordinator:
             raise _SessionError(ERR_PHASE, "prepare is Alice's move")
         if len(self._streams) < len(Role):
             raise _SessionError(ERR_PHASE, "session not ready: parties missing")
-        if self._session is not None:
+        if self.session is not None:
             raise _SessionError(ERR_PHASE, "already prepared")
-        self._session = compose_session(self.signal)
+        self.session = compose_session(self.signal)
         return {"op": "prepare", "ok": True}
 
     def _op_bell_measure(self, role: Role, body: dict) -> dict:
@@ -579,52 +581,51 @@ def _networked(reference: ProtocolResult) -> list[TraceEvent]:
     ]
 
 
-def _move_of(event: TraceEvent) -> tuple[str, str]:
-    """The role that writes ``event``, and the name of that move as a stall label."""
-    if isinstance(event, (GhzPrepared, SignalPrepared)):
-        return Role.ALICE.value, "Prepare"
-    if isinstance(event, BellMeasured):
-        return Role.ALICE.value, "BellMeasure"
-    if isinstance(event, ClassicalMessage):
-        return event.sender.value, "Broadcast" if event.sender is Role.ALICE else "CharlieSend"
-    if isinstance(event, CorrectionApplied):
-        return event.role.value, "BellCorrection"
-    if isinstance(event, CharlieMeasured):
-        return Role.CHARLIE.value, "CharlieMeasure"
-    return Role.BOB.value, "BobFinish"  # BobCorrected, Finished
+# The stall label of each move but a send or a correction.
+_LABELS = {"bell_measure": "BellMeasure", "basis_measure": "CharlieMeasure", "finish": "BobFinish"}
 
 
-def infer_stall(
-    reference: ProtocolResult, meta: list[str], events: list[TraceEvent]
-) -> tuple[str, str] | None:
-    """(stalled_role, stalled_at) when a party never joined or the events are
-    a proper prefix of the reference's; None for a complete or a mismatching
-    transcript."""
-    helloed = {line.split("role=")[1] for line in meta if line.startswith("hello role=")}
-    missing = sorted(r.value for r in Role if r.value not in helloed)
+def infer_stall(session: SessionRegister | None, helloed: set[Role]) -> tuple[str, str] | None:
+    """(stalled_role, stalled_at) of a session that stopped short, from its
+    register and the roles that said Hello: every role that never did, Alice's
+    Prepare, or else the first move still due, passing over the identity
+    corrections a networked party never requests. None once no move is due."""
+    missing = sorted(r.value for r in Role if r not in helloed)
     if missing:
         return ",".join(missing), "Join"
-    expected = _networked(reference)
-    got = [event_line(e) for e in events]
-    if len(got) < len(expected) and got == [event_line(e) for e in expected[: len(got)]]:
-        return _move_of(expected[len(got)])
+    if session is None:
+        return Role.ALICE.value, "Prepare"
+    for role, move, value in session.due:
+        if move == "correct":
+            if value.is_identity():
+                continue
+            # Bob's correction after Charlie's measurement is his final one.
+            bell = (Role.CHARLIE, "basis_measure", None) in session.due
+            return role.value, "BellCorrection" if bell else "BobFinish"
+        if move == "send":
+            return role.value, "Broadcast" if role is Role.ALICE else "CharlieSend"
+        return role.value, _LABELS[move]
     return None
 
 
 def compare_transcript(
-    reference: ProtocolResult, meta: list[str], events: list[TraceEvent]
+    reference: ProtocolResult,
+    events: list[TraceEvent],
+    stall: tuple[str, str] | None = None,
+    unfinished: frozenset[Role] = frozenset(),
 ) -> ComparisonReport:
-    """Compare a networked transcript with the in-process run, line for line.
+    """Compare a networked transcript's events with the in-process run, line
+    for line.
 
-    A networked session writes the reference trace without its identity
-    corrections, in the same order, so the event lines must be equal byte for
-    byte; that makes outcome, probability and fidelity equality exact. A
-    proper prefix is a stall (see :func:`infer_stall`); anything else is a
-    mismatch at the first differing event. Equal events in a session that
-    never completed fail too: some role never sent its Finish.
+    ``stall`` (see :func:`infer_stall`) and ``unfinished``, the roles that
+    never sent their Finish, are read from the coordinator once the session
+    has ended. A stall is reported as such. Otherwise the event lines must
+    equal the reference trace without its identity corrections, byte for
+    byte, which makes outcome, probability and fidelity equality exact;
+    anything else is a mismatch at the first differing event. Equal events
+    fail too while some role never sent its Finish.
     """
     report = ComparisonReport(match=False, reference_fidelity=reference.fidelity)
-    stall = infer_stall(reference, meta, events)
     if stall is not None:
         report.stalled_role, report.stalled_at = stall
         report.problems.append(f"session stalled at {report.stalled_at}")
@@ -640,10 +641,9 @@ def compare_transcript(
             if want != have
         )
         report.problems.append(f"event {index + 1} differs: expected {want!r}, got {have!r}")
-    elif "session incomplete" in meta:
-        finished = {line.split("role=")[1] for line in meta if line.startswith("finish role=")}
-        unfinished = ",".join(sorted(r.value for r in Role if r.value not in finished))
-        report.problems.append(f"session incomplete: no Finish from {unfinished}")
+    elif unfinished:
+        names = ",".join(sorted(r.value for r in unfinished))
+        report.problems.append(f"session incomplete: no Finish from {names}")
     report.match = not report.problems
     return report
 
@@ -706,8 +706,9 @@ def orchestrate(
         reaped = _terminate(parties, timeout if done else 0.0)
         coordinator.shutdown()
 
-    meta, events = read_transcript(transcript)
-    report = compare_transcript(reference, meta, events)
+    _, events = read_transcript(transcript)
+    stall = infer_stall(coordinator.session, coordinator.helloed)
+    report = compare_transcript(reference, events, stall, frozenset(Role) - coordinator.finished)
     report.transcript = str(transcript)
     # Only a failed party whose move the session stalled at can say why; the
     # others were still waiting.

@@ -199,9 +199,6 @@ class ProtocolTrace:
     def lines(self) -> list[str]:
         return [event_line(e) for e in self.events]
 
-    def messages(self) -> list[ClassicalMessage]:
-        return [e for e in self.events if isinstance(e, ClassicalMessage)]
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -409,7 +406,8 @@ def send(
         heard = ",".join(sorted(r.value for r in recipients))
         raise PhaseError(f"{sender.value} cannot send to {heard}")
     session.take(sender, "send", payload)
-    message = ClassicalMessage(len(session.trace.messages()) + 1, sender, recipients, payload)
+    seq = sum(isinstance(e, ClassicalMessage) for e in session.trace.events) + 1
+    message = ClassicalMessage(seq, sender, recipients, payload)
     session.trace.events.append(message)
     return message
 
@@ -418,10 +416,10 @@ def correct(session: SessionRegister, role: Role, unitary: Unitary2x2) -> None:
     """One role's correction: Bob's or Charlie's Bell correction, or Bob's final one."""
     session.take(role, "correct", unitary)
     session.state = apply_single(session.state, CORRECTION_QUBIT[role], unitary)
-    if any(isinstance(e, CharlieMeasured) for e in session.trace.events):
-        session.trace.events.append(BobCorrected(unitary.name))
-    else:
+    if (Role.CHARLIE, "basis_measure", None) in session.due:  # a Bell correction
         session.trace.events.append(CorrectionApplied(role, unitary.name))
+    else:
+        session.trace.events.append(BobCorrected(unitary.name))
 
 
 def basis_measure(

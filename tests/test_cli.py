@@ -328,6 +328,18 @@ def test_net_orchestrate_drop_charlie_stalls_at_his_measurement(capsys, tmp_path
     assert "stalled-at-CharlieMeasure role=charlie" in out
 
 
+@pytest.mark.parametrize("role, label", [("alice", "Prepare"), ("bob", "BobFinish")])
+def test_net_orchestrate_drop_stalls_at_the_dropped_partys_move(capsys, tmp_path, role, label):
+    # Each stall waits out its whole timeout.
+    code, out, _ = run_cli(
+        capsys, "net", "orchestrate", "--seed", "0", "--drop", role,
+        "--transcript-dir", str(tmp_path), "--timeout", "1",
+    )
+    assert code == EXIT_STALLED
+    assert "match: false" in out
+    assert f"stalled-at-{label} role={role}" in out
+
+
 def test_net_orchestrate_json_report(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "net", "orchestrate", "--seed", "4", "--format", "json",

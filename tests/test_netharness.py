@@ -28,14 +28,24 @@ from ghztp.netharness import (
     run_party,
 )
 from ghztp.protocol import (
+    RECIPIENTS,
+    BellOutcome,
     BobCorrected,
+    CharlieOutcome,
     ClassicalMessage,
     CorrectionApplied,
     Finished,
     Role,
     SignalState,
+    basis_measure,
+    bell_measure,
+    bob_finish,
+    compose_session,
+    correct,
     run_protocol,
+    send,
 )
+from ghztp.qsim import ForcedSelector
 from ghztp.wire import (
     ERR_FRAME,
     ERR_LOCALITY,
@@ -116,12 +126,17 @@ def joined_session(coordinator):
             client.close()
 
 
+def wait_for_meta(coordinator, text: str, timeout: float = 5.0) -> None:
+    """Wait until the transcript holds the metadata line ``# text``."""
+    deadline = time.monotonic() + timeout
+    while f"# {text}\n" not in coordinator.transcript_path.read_text():
+        assert time.monotonic() < deadline, f"no '# {text}' line"
+        time.sleep(0.01)
+
+
 def wait_until_joined(coordinator, role: str, timeout: float = 5.0) -> None:
     """Registration barrier: the coordinator logs every Hello it accepts."""
-    deadline = time.monotonic() + timeout
-    while f"# hello role={role}\n" not in coordinator.transcript_path.read_text():
-        assert time.monotonic() < deadline, f"{role} never joined"
-        time.sleep(0.01)
+    wait_for_meta(coordinator, f"hello role={role}", timeout)
 
 
 def broadcast(clients, payload: str) -> None:
@@ -217,6 +232,23 @@ def test_a_second_hello_on_one_connection_is_refused_and_disconnected(make_coord
         pass
 
 
+def test_a_role_that_leaves_after_the_grant_cannot_join_again(make_coordinator):
+    coordinator = make_coordinator()
+    with joined_session(coordinator) as clients:
+        clients[Role.CHARLIE].close()
+        wait_for_meta(coordinator, "disconnect role=charlie")
+        rejoined = Client(coordinator.port)
+        try:
+            rejoined.send(Kind.HELLO, {"role": "charlie"})
+            expect_error(rejoined, ERR_ROLE_TAKEN)
+            assert rejoined.recv() is None  # coordinator hung up
+        finally:
+            rejoined.close()
+        # Alice was granted the session once: her next message answers her op.
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+        expect_error(clients[Role.ALICE], ERR_PHASE)  # Charlie is missing
+
+
 def test_garbage_line_closes_that_connection_only(make_coordinator):
     coordinator = make_coordinator()
     alice = Client(coordinator.port)
@@ -271,25 +303,25 @@ def test_locality_rejection_leaves_state_untouched(make_coordinator):
     with joined_session(coordinator) as clients:
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
         assert clients[Role.ALICE].recv().body["ok"] is True
-        fingerprint = coordinator.state_fingerprint()
-        assert fingerprint is not None
+        assert coordinator.session is not None
+        state = coordinator.session.state
 
         clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         expect_error(clients[Role.BOB], ERR_LOCALITY)
-        assert coordinator.state_fingerprint() == fingerprint
+        assert coordinator.session.state is state
 
         # a qubit that does not exist belongs to nobody
         clients[Role.BOB].send(
             Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 5, "unitary": "X"}
         )
         expect_error(clients[Role.BOB], ERR_LOCALITY)
-        assert coordinator.state_fingerprint() == fingerprint
+        assert coordinator.session.state is state
 
         clients[Role.ALICE].send(
             Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
         )
         expect_error(clients[Role.ALICE], ERR_LOCALITY)
-        assert coordinator.state_fingerprint() == fingerprint
+        assert coordinator.session.state is state
 
         # the refused connection is still in the session
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
@@ -305,17 +337,17 @@ def test_a_qubit_list_must_be_a_json_list_of_integers(make_coordinator, qubits):
     with joined_session(coordinator) as clients:
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
         assert clients[Role.ALICE].recv().body["ok"] is True
-        fingerprint = coordinator.state_fingerprint()
+        state = coordinator.session.state
 
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": qubits})
         expect_error(clients[Role.ALICE], ERR_FRAME)
-        assert coordinator.state_fingerprint() == fingerprint
+        assert coordinator.session.state is state
 
 
 def test_phase_order_is_enforced_over_the_wire(make_coordinator):
     coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
     with joined_session(coordinator) as clients:
-        assert coordinator.state_fingerprint() is None
+        assert coordinator.session is None
 
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         expect_error(clients[Role.ALICE], ERR_PHASE)
@@ -490,12 +522,12 @@ def test_a_correction_before_alices_broadcast_is_refused_and_not_written(make_co
         clients[Role.ALICE].recv()
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         assert clients[Role.ALICE].recv().body["outcome"] == "PsiMinus"
-        fingerprint = coordinator.state_fingerprint()
+        state = coordinator.session.state
         clients[Role.BOB].send(
             Kind.OP_REQUEST, {"op": "apply_correction", "qubit": 2, "unitary": "X"}
         )
         expect_error(clients[Role.BOB], ERR_PHASE)  # Bob has not heard the outcome yet
-        assert coordinator.state_fingerprint() == fingerprint
+        assert coordinator.session.state is state
     coordinator.shutdown()
     _, events = read_transcript(coordinator.transcript_path)
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
@@ -535,6 +567,8 @@ def run_full_session(make_coordinator, seed, linger=0.0):
     assert results == {role: 0 for role in Role}
     time.sleep(linger)
     coordinator.shutdown()
+    assert infer_stall(coordinator.session, coordinator.helloed) is None
+    assert coordinator.finished == set(Role)
     return read_transcript(coordinator.transcript_path)
 
 
@@ -543,7 +577,7 @@ def test_scripted_session_matches_in_process_run_bitwise(make_coordinator, seed)
     meta, events = run_full_session(make_coordinator, seed)
     assert any(line == "session complete" for line in meta)
     reference = run_protocol(SIGNAL, seed=seed)
-    report = compare_transcript(reference, meta, events)
+    report = compare_transcript(reference, events)
     assert report.match, report.problems
     assert report.net_fidelity == reference.fidelity  # bitwise, not approximate
 
@@ -602,7 +636,8 @@ def test_a_session_without_bobs_finish_fails_the_comparison(make_coordinator, mo
     assert meta[-1] == "session incomplete"
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
     assert [netharness.event_line(e) for e in events] == reference.trace.lines()
-    report = compare_transcript(reference, meta, events)
+    stall = infer_stall(coordinator.session, coordinator.helloed)
+    report = compare_transcript(reference, events, stall, frozenset(Role) - coordinator.finished)
     assert not report.match
     assert report.problems == ["session incomplete: no Finish from bob"]
     assert report.stalled_at is None
@@ -626,7 +661,9 @@ def test_dropped_charlie_stalls_the_session_before_bob_finishes(make_coordinator
     assert any(line == "session incomplete" for line in meta)
     assert "disconnect role=charlie" in meta  # before completion it explains the stall
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
-    assert infer_stall(reference, meta, events) == ("charlie", "CharlieMeasure")
+    lines = [netharness.event_line(e) for e in events]
+    assert lines == reference.trace.lines()[: len(lines)]
+    assert infer_stall(coordinator.session, coordinator.helloed) == ("charlie", "CharlieMeasure")
     assert not any(isinstance(e, Finished) for e in events)
 
 
@@ -646,41 +683,73 @@ def test_a_bob_who_never_corrects_stalls_the_session_at_his_bell_correction(make
     assert f"coordinator error {ERR_PHASE}" in str(results[Role.CHARLIE])
     coordinator.shutdown()
 
-    meta, events = read_transcript(coordinator.transcript_path)
+    _, events = read_transcript(coordinator.transcript_path)
     assert isinstance(events[-1], ClassicalMessage) and events[-1].sender is Role.ALICE
-    report = compare_transcript(run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS), meta, events)
+    stall = infer_stall(coordinator.session, coordinator.helloed)
+    report = compare_transcript(run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS), events, stall)
     assert (report.stalled_role, report.stalled_at) == ("bob", "BellCorrection")
 
 
 # --- transcript analysis ----------------------------------------------------
 
 
-HELLO_META = ["hello role=alice", "hello role=bob", "hello role=charlie"]
+# The Bell corrections a networked session makes, Bob's first; an identity
+# is passed over.
+BELL_CORRECTION_STALLS = {
+    BellOutcome.PHI_PLUS: [],
+    BellOutcome.PHI_MINUS: [("charlie", "BellCorrection")],
+    BellOutcome.PSI_PLUS: [("bob", "BellCorrection"), ("charlie", "BellCorrection")],
+    BellOutcome.PSI_MINUS: [("bob", "BellCorrection"), ("charlie", "BellCorrection")],
+}
+# Bob's final correction, unless it is the identity.
+FINAL_CORRECTION_STALLS = {CharlieOutcome.PLUS: [], CharlieOutcome.MINUS: [("bob", "BobFinish")]}
 
 
-def reference_events():
-    # seed 0: no identity corrections, so the networked trace keeps every line
-    return list(run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS).trace.events)
+@pytest.mark.parametrize("bell", list(BellOutcome), ids=lambda o: o.value)
+@pytest.mark.parametrize("charlie", list(CharlieOutcome), ids=lambda o: o.value)
+def test_infer_stall_names_the_first_move_due_on_every_branch(bell, charlie):
+    expected = [
+        ("alice", "Prepare"),
+        ("alice", "BellMeasure"),
+        ("alice", "Broadcast"),
+        *BELL_CORRECTION_STALLS[bell],
+        ("charlie", "CharlieMeasure"),
+        ("charlie", "CharlieSend"),
+        *FINAL_CORRECTION_STALLS[charlie],
+        ("bob", "BobFinish"),
+        None,
+    ]
+    labels = [infer_stall(None, set(Role))]
+    session = compose_session(SIGNAL)
+    while session.due:
+        labels.append(infer_stall(session, set(Role)))
+        # The move a networked party makes next: it never requests an identity.
+        role, move, value = next(
+            (role, move, value) for role, move, value in session.due
+            if not (move == "correct" and value.is_identity())
+        )
+        if move == "bell_measure":
+            bell_measure(session, ForcedSelector(list(BellOutcome).index(bell)))
+        elif move == "send":
+            send(session, role, RECIPIENTS[role], value)
+        elif move == "correct":
+            correct(session, role, value)
+        elif move == "basis_measure":
+            basis_measure(session, role, ForcedSelector(list(CharlieOutcome).index(charlie)))
+        else:
+            bob_finish(session, role)
+    labels.append(infer_stall(session, set(Role)))
+    assert labels == expected
 
 
-def test_infer_stall_walks_the_milestones():
-    reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
-    events = reference_events()
-    assert infer_stall(reference, ["hello role=alice", "hello role=charlie"], []) == ("bob", "Join")
-    assert infer_stall(reference, [], []) == ("alice,bob,charlie", "Join")
-    assert infer_stall(reference, HELLO_META, []) == ("alice", "Prepare")
-    assert infer_stall(reference, HELLO_META, events[:2]) == ("alice", "BellMeasure")
-    assert infer_stall(reference, HELLO_META, events[:3]) == ("alice", "Broadcast")
-    assert infer_stall(reference, HELLO_META, events[:4]) == ("bob", "BellCorrection")
-    assert infer_stall(reference, HELLO_META, events[:5]) == ("charlie", "BellCorrection")
-    assert infer_stall(reference, HELLO_META, events[:7]) == ("charlie", "CharlieSend")
-    assert infer_stall(reference, HELLO_META, events[:8]) == ("bob", "BobFinish")
-    assert infer_stall(reference, HELLO_META, events) is None
+def test_infer_stall_names_every_role_that_never_said_hello():
+    assert infer_stall(None, {Role.ALICE, Role.CHARLIE}) == ("bob", "Join")
+    assert infer_stall(None, set()) == ("alice,bob,charlie", "Join")
 
 
 def test_compare_transcript_accepts_the_reference_itself():
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
-    report = compare_transcript(reference, HELLO_META, list(reference.trace.events))
+    report = compare_transcript(reference, list(reference.trace.events))
     assert report.match
     assert report.problems == []
     assert report.net_fidelity == reference.fidelity
@@ -693,7 +762,7 @@ def test_compare_transcript_flags_fidelity_tampering():
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
     events = list(reference.trace.events)
     events[-1] = Finished(0.25)
-    report = compare_transcript(reference, HELLO_META, events)
+    report = compare_transcript(reference, events)
     assert not report.match
     assert any("fidelity" in problem for problem in report.problems)
 
@@ -702,11 +771,11 @@ def test_compare_transcript_flags_reordering_and_missing_corrections():
     reference = run_protocol(SIGNAL, seed=SEED_ALL_CORRECTIONS)
     events = list(reference.trace.events)
     events[1], events[2] = events[2], events[1]
-    report = compare_transcript(reference, HELLO_META, events)
+    report = compare_transcript(reference, events)
     assert not report.match
 
     events = [e for e in reference.trace.events if not isinstance(e, CorrectionApplied)]
-    report = compare_transcript(reference, HELLO_META, events)
+    report = compare_transcript(reference, events)
     assert not report.match
     assert any("'CorrectionApplied role=bob unitary=X'" in problem for problem in report.problems)
 
@@ -926,8 +995,8 @@ def test_every_seed_gives_the_same_transcript_on_every_run(make_coordinator):
     for seed in range(10):
         runs = []
         for _ in range(3):
-            meta, events = run_full_session(make_coordinator, seed)
-            report = compare_transcript(run_protocol(SIGNAL, seed=seed), meta, events)
+            _, events = run_full_session(make_coordinator, seed)
+            report = compare_transcript(run_protocol(SIGNAL, seed=seed), events)
             assert report.match, (seed, report.problems)
             runs.append([netharness.event_line(e) for e in events])
         assert runs[0] == runs[1] == runs[2], seed

@@ -289,7 +289,8 @@ def test_each_outcome_is_sent_once_to_the_roles_that_need_it():
     apply_bell_correction(session, outcome)
     charlie = basis_measure(session, Role.CHARLIE, ForcedSelector(0)).outcome
     send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], charlie)
-    assert [m.seq for m in session.trace.messages()] == [1, 2]
+    messages = [e for e in session.trace.events if isinstance(e, ClassicalMessage)]
+    assert [m.seq for m in messages] == [1, 2]
 
 
 # --- runs, traces, messages -----------------------------------------------------------
@@ -325,7 +326,7 @@ def test_seeded_runs_cover_all_branches():
 
 def test_trace_has_exactly_two_messages_in_causal_order():
     result = run_protocol(SignalState(ALPHA, BETA), seed=7)
-    messages = result.trace.messages()
+    messages = [e for e in result.trace.events if isinstance(e, ClassicalMessage)]
     assert [m.seq for m in messages] == [1, 2]
     assert messages[0].sender is Role.ALICE
     assert messages[0].recipients == frozenset({Role.BOB, Role.CHARLIE})
