@@ -34,26 +34,25 @@ state (see :func:`infer_stall`), never from the transcript's text.
 from __future__ import annotations
 
 import contextlib
+import gc
+import os
 import selectors
+import signal
 import socket
+import sys
 import tempfile
 import threading
 import time
+import traceback
 import uuid
 from collections import deque, namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
+from . import party
 from .qsim import NAMED_UNITARIES, SeededSelector
-from .party import (  # noqa: F401 (re-exported)
-    DEFAULT_TIMEOUT,
-    PartyConfig,
-    PartyError,
-    _spawn,
-    _terminate,
-    run_party,
-)
+from .party import DEFAULT_TIMEOUT, PartyConfig, PartyError, run_party  # noqa: F401 (re-exported)
 from .protocol import (
     BobCorrected,
     CorrectionApplied,
@@ -74,7 +73,7 @@ from .protocol import (
     run_protocol,
     send,
 )
-from .vocab import IDENTITY_NAME, QUBIT_A, QUBIT_D, QUBITS_OF, Role, parse_payload
+from .vocab import IDENTITY_NAME, QUBIT_A, QUBIT_D, QUBITS_OF, SCHEDULE, Role, parse_payload
 from .wire import (
     ERR_FRAME,
     ERR_LOCALITY,
@@ -93,6 +92,9 @@ MAX_ERROR_TEXT = 1000
 # Where each role's script stops when orchestrate is asked to drop it; the
 # dropped party joins, then goes silent right before this step.
 DROP_STAGE = {Role.ALICE: "bell", Role.BOB: "finish", Role.CHARLIE: "measure"}
+
+# Characters of a party's stderr that orchestrate reports.
+STDERR_TAIL = 500
 
 
 def read_transcript(path) -> tuple[list[str], list[TraceEvent]]:
@@ -581,30 +583,26 @@ def _networked(reference: ProtocolResult) -> list[TraceEvent]:
     ]
 
 
-# The stall label of each move but a send or a correction.
-_LABELS = {"bell_measure": "BellMeasure", "basis_measure": "CharlieMeasure", "finish": "BobFinish"}
-
-
 def infer_stall(session: SessionRegister | None, helloed: set[Role]) -> tuple[str, str] | None:
     """(stalled_role, stalled_at) of a session that stopped short, from its
     register and the roles that said Hello: every role that never did, Alice's
-    Prepare, or else the first move still due, passing over the identity
-    corrections a networked party never requests. None once no move is due."""
+    Prepare, or else the SCHEDULE label of the first move still due, passing
+    over the identity corrections a networked party never requests. None once
+    no move is due."""
     missing = sorted(r.value for r in Role if r not in helloed)
     if missing:
         return ",".join(missing), "Join"
     if session is None:
         return Role.ALICE.value, "Prepare"
-    for role, move, value in session.due:
-        if move == "correct":
-            if value.is_identity():
-                continue
-            # Bob's correction after Charlie's measurement is his final one.
-            bell = (Role.CHARLIE, "basis_measure", None) in session.due
-            return role.value, "BellCorrection" if bell else "BobFinish"
-        if move == "send":
-            return role.value, "Broadcast" if role is Role.ALICE else "CharlieSend"
-        return role.value, _LABELS[move]
+    if not session.due:
+        return None
+    # The moves due are a run of SCHEDULE that ends in a measurement or in
+    # Bob's finish, each of which occurs once in it.
+    end = [entry[:2] for entry in SCHEDULE].index(session.due[-1][:2]) + 1
+    entries = SCHEDULE[end - len(session.due): end]
+    for (role, move, value), (_, _, _, label) in zip(session.due, entries):
+        if not (move == "correct" and value.is_identity()):
+            return role.value, label
     return None
 
 
@@ -646,6 +644,96 @@ def compare_transcript(
         report.problems.append(f"session incomplete: no Finish from {names}")
     report.match = not report.problems
     return report
+
+
+def _spawn(roles, config: PartyConfig) -> dict:
+    """Fork one party per role; returns ``{pid: (role, stderr file)}``.
+
+    Each party's stderr goes to its own unlinked file, so a flood never
+    blocks it. If a fork fails, the parties already forked are ended and
+    reaped, and an OSError names the role that could not be forked.
+    """
+    parties = {}
+    for role in roles:
+        stderr = tempfile.TemporaryFile()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            stderr.close()
+            _terminate(parties, 0.0)
+            raise OSError(f"cannot fork party {role.value}: {exc}") from exc
+        if pid == 0:
+            _party_child(role, config, stderr.fileno())
+        parties[pid] = (role, stderr)
+    return parties
+
+
+def _party_child(role: Role, config: PartyConfig, stderr: int):
+    """The forked party: play ``role`` with stdout to the null device and
+    stderr to ``stderr``, holding no other descriptor of the process it was
+    forked from, then end the process without returning."""
+    code = 1  # as for an uncaught exception
+    try:
+        # Collecting the caller's garbage here could close a descriptor number
+        # that is by then this party's own.
+        gc.disable()
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.dup2(stderr, 2)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdout = open(1, "w")
+        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace")
+        code = party.play(role, config)  # looked up here, so a test can patch it
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _reap(parties: dict, wait: float) -> dict:
+    """Reap each party of ``parties`` that ends within ``wait`` seconds and
+    take it out; returns ``{role: {"exit": ..., "stderr": ...}}`` of those."""
+    deadline = time.monotonic() + wait
+    delay = 0.0005
+    reaped = {}
+    while True:
+        for pid in list(parties):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                role, stderr = parties.pop(pid)
+                reaped[role] = {"exit": os.waitstatus_to_exitcode(status), "stderr": _tail(stderr)}
+                stderr.close()
+        left = deadline - time.monotonic()
+        if not parties or left <= 0:
+            return reaped
+        time.sleep(min(delay, left))
+        delay = min(2 * delay, 0.05)
+
+
+def _terminate(parties: dict, grace: float) -> dict:
+    """Reap the parties ``_spawn`` forked, as :func:`_reap` reports them.
+
+    A party not done after ``grace`` seconds gets SIGTERM, and one still
+    there DEFAULT_TIMEOUT seconds later gets SIGKILL. One that is still
+    unreaped DEFAULT_TIMEOUT seconds after that is left out.
+    """
+    reaped = _reap(parties, grace)
+    for signum in (signal.SIGTERM, signal.SIGKILL):
+        for pid in parties:  # not reaped, so the pid is still this party's
+            os.kill(pid, signum)
+        reaped.update(_reap(parties, DEFAULT_TIMEOUT))
+    return reaped
+
+
+def _tail(stderr) -> str:
+    """The last STDERR_TAIL characters of a party's stderr file, stripped."""
+    size = stderr.seek(0, os.SEEK_END)
+    stderr.seek(max(0, size - 4 * STDERR_TAIL))  # at most 4 bytes a character
+    return stderr.read().decode("utf-8", "replace")[-STDERR_TAIL:].strip()
 
 
 def orchestrate(
@@ -714,14 +802,14 @@ def orchestrate(
     # others were still waiting.
     stalled = (report.stalled_role or "").split(",")
     for role in Role:
-        party = reaped.get(role)
-        if party is None:
+        child = reaped.get(role)
+        if child is None:
             report.problems.append(f"party {role.value} did not exit")
             continue
-        report.parties[role.value] = party
-        if party["exit"] != 0 and (report.stalled_role is None or role.value in stalled):
+        report.parties[role.value] = child
+        if child["exit"] != 0 and (report.stalled_role is None or role.value in stalled):
             report.problems.append(
-                f"party {role.value} exited with {party['exit']}, stderr ends {party['stderr']!r}"
+                f"party {role.value} exited with {child['exit']}, stderr ends {child['stderr']!r}"
             )
     report.match = not report.problems
     return report

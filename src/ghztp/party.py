@@ -6,32 +6,25 @@ corrections, see :mod:`ghztp.vocab`), so this module and everything it
 imports leave numpy out: ``python -m ghztp net party`` starts here, before
 :mod:`ghztp.cli` and the simulator are imported.
 
-Given one role, ``net party`` plays it in its own process. Given several, it
-is a party host: one interpreter that imports this closure once and then
-forks one process per role, so each party still acts alone on its share.
-The host reaps every party and writes one JSON line per party to its
-standard output: ``{"role": ..., "exit": ..., "stderr": ...}``.
-``ghztp.netharness.orchestrate`` forks and reaps its parties with the same
-``_spawn`` and ``_terminate``, straight from its own process.
+Each party makes its own moves of :data:`ghztp.vocab.SCHEDULE`, in order, so
+the parties follow the order the protocol engine admits by construction.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import socket
 import sys
-import time
 from collections import namedtuple
 
 from .vocab import (
-    BELL_CORRECTION_NAMES,
-    CHARLIE_CORRECTION_NAMES,
     IDENTITY_NAME,
-    BellOutcome,
-    CharlieOutcome,
+    OUTCOMES,
+    RECIPIENTS,
+    SCHEDULE,
     Role,
+    correction_name,
     parse_payload,
 )
 from .wire import FrameError, Kind, MessageStream, WireMessage
@@ -43,10 +36,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONNECTION = 4
 
 # The steps a party can go silent right before (negative tests).
-STOP_STAGES = ("bell", "broadcast", "correction", "measure", "send", "finish")
-
-# Characters of a party's stderr that its host reports.
-STDERR_TAIL = 500
+STOP_STAGES = tuple(dict.fromkeys(stage for _, _, stage, _ in SCHEDULE if stage))
 
 
 class PartyError(RuntimeError):
@@ -80,7 +70,6 @@ def run_party(role: Role, config: PartyConfig) -> int:
     A ``stop_before`` stage makes the party go silent (clean exit) right
     before that step, which is how orchestrate drops a party.
     """
-    stop = config.stop_before
     # getaddrinfo encodes a str host with the idna codec, which imports
     # unicodedata and stringprep; an ASCII host needs no encoding.
     host = config.host.encode("ascii") if config.host.isascii() else config.host
@@ -92,85 +81,52 @@ def run_party(role: Role, config: PartyConfig) -> int:
             stream.send(Kind.HELLO, {"role": role.value})
             grant = _expect(stream, Kind.GRANT)
             stream.session_id = grant.session_id
-            qubits = grant.body["qubits"]
-            if role is Role.ALICE:
-                _run_alice(stream, qubits, stop)
-            elif role is Role.BOB:
-                _run_bob(stream, qubits[0], stop)
-            else:
-                _run_charlie(stream, qubits[0], stop)
+            _run_schedule(stream, role, grant.body["qubits"], config.stop_before)
     return 0
 
 
-def _run_alice(stream: MessageStream, qubits, stop: str | None) -> None:
-    if stop == "bell":
-        return
-    stream.send(Kind.OP_REQUEST, {"op": "prepare"})
-    _expect(stream, Kind.OP_RESULT, "prepare")
-    stream.send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": qubits})
-    result = _expect(stream, Kind.OP_RESULT, "bell_measure")
-    if stop == "broadcast":
-        return
-    stream.send(
-        Kind.CLASSICAL,
-        {
-            "recipients": [Role.BOB.value, Role.CHARLIE.value],
-            "payload": result.body["outcome"],
-        },
-    )
-    stream.send(Kind.FINISH, {})
+def _request(stream: MessageStream, body: dict) -> dict:
+    """Send one OpRequest and return the body of its OpResult."""
+    stream.send(Kind.OP_REQUEST, body)
+    return _expect(stream, Kind.OP_RESULT, body["op"]).body
 
 
-def _receive_payload(stream: MessageStream):
-    message = _expect(stream, Kind.CLASSICAL)
-    return parse_payload(message.body["payload"])
+def _run_schedule(stream: MessageStream, role: Role, qubits, stop: str | None) -> None:
+    """Make ``role``'s moves of SCHEDULE in order, then send Finish.
 
-
-def _apply_if_needed(stream: MessageStream, qubit: int, unitary: str) -> None:
-    if unitary == IDENTITY_NAME:
-        return  # identity corrections are never requested
-    stream.send(
-        Kind.OP_REQUEST,
-        {"op": "apply_correction", "qubit": qubit, "unitary": unitary},
-    )
-    _expect(stream, Kind.OP_RESULT, "apply_correction")
-
-
-def _run_bob(stream: MessageStream, qubit: int, stop: str | None) -> None:
-    bell = _receive_payload(stream)
-    if not isinstance(bell, BellOutcome):
-        raise PartyError(f"expected a Bell outcome first, got {bell!r}")
-    if stop == "correction":
-        return
-    _apply_if_needed(stream, qubit, BELL_CORRECTION_NAMES[bell][0])
-    charlie = _receive_payload(stream)
-    if not isinstance(charlie, CharlieOutcome):
-        raise PartyError(f"expected Charlie's outcome, got {charlie!r}")
-    _apply_if_needed(stream, qubit, CHARLIE_CORRECTION_NAMES[charlie])
-    if stop == "finish":
-        return
-    stream.send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": qubit})
-    _expect(stream, Kind.OP_RESULT, "fetch_bob_state")
-    stream.send(Kind.FINISH, {})
-
-
-def _run_charlie(stream: MessageStream, qubit: int, stop: str | None) -> None:
-    bell = _receive_payload(stream)
-    if not isinstance(bell, BellOutcome):
-        raise PartyError(f"expected a Bell outcome first, got {bell!r}")
-    if stop == "correction":
-        return
-    _apply_if_needed(stream, qubit, BELL_CORRECTION_NAMES[bell][1])
-    if stop == "measure":
-        return
-    stream.send(Kind.OP_REQUEST, {"op": "basis_measure", "qubit": qubit, "basis": "plus_minus"})
-    result = _expect(stream, Kind.OP_RESULT, "basis_measure")
-    if stop == "send":
-        return
-    stream.send(
-        Kind.CLASSICAL,
-        {"recipients": [Role.BOB.value], "payload": result.body["outcome"]},
-    )
+    Before each move, read every outcome the moves before it sent to
+    ``role``. An identity correction is never requested. At the ``stop``
+    stage, go silent instead.
+    """
+    last = max(i for i, entry in enumerate(SCHEDULE) if entry[0] is role)
+    outcomes = None  # the kind of outcome the latest measurement gave
+    heard = None  # the latest outcome sent to this role
+    made = None  # this role's latest outcome, as the coordinator named it
+    for mover, move, stage, _ in SCHEDULE[: last + 1]:
+        outcomes = OUTCOMES.get(move, outcomes)
+        if mover is not role:
+            if move == "send" and role in RECIPIENTS[mover]:
+                heard = parse_payload(_expect(stream, Kind.CLASSICAL).body["payload"])
+                if not isinstance(heard, outcomes):
+                    raise PartyError(f"expected {mover.value}'s {outcomes.__name__}, got {heard!r}")
+            continue
+        if stop is not None and stage == stop:
+            return
+        if move == "bell_measure":
+            _request(stream, {"op": "prepare"})
+            made = _request(stream, {"op": "bell_measure", "qubits": qubits})["outcome"]
+        elif move == "send":
+            recipients = sorted(r.value for r in RECIPIENTS[role])
+            stream.send(Kind.CLASSICAL, {"recipients": recipients, "payload": made})
+        elif move == "correct":
+            unitary = correction_name(role, heard)
+            if unitary != IDENTITY_NAME:
+                _request(stream, {"op": "apply_correction", "qubit": qubits[0], "unitary": unitary})
+        elif move == "basis_measure":
+            body = {"op": "basis_measure", "qubit": qubits[0], "basis": "plus_minus"}
+            made = _request(stream, body)["outcome"]
+        else:  # finish
+            _request(stream, {"op": "fetch_bob_state", "qubit": qubits[0]})
     stream.send(Kind.FINISH, {})
 
 
@@ -232,8 +188,7 @@ def add_party_args(parser: argparse.ArgumentParser) -> None:
     add_net_args(parser)
     roles = [r.value for r in Role]
     parser.add_argument("--role", required=env_default("ROLE", None) is None,
-                        default=env_default("ROLE", None), choices=roles, type=one_of(roles),
-                        nargs="+", help="one role to play here, or several to fork one process each")
+                        default=env_default("ROLE", None), choices=roles, type=one_of(roles))
     parser.add_argument("--stop-before", default=env_default("STOP_BEFORE", None),
                         choices=STOP_STAGES, type=one_of(STOP_STAGES),
                         help="go silent right before this step (negative tests)")
@@ -243,13 +198,7 @@ def cmd_net_party(args) -> int:
     config = PartyConfig(
         host=args.host, port=args.port, timeout=args.timeout, stop_before=args.stop_before
     )
-    # A role from GHZTP_ROLE arrives as one string, from the command line as a
-    # list; a role given twice is played once, as a session admits it once.
-    roles = list(dict.fromkeys(Role(r) for r in ([args.role] if isinstance(args.role, str)
-                                                 else args.role)))
-    if len(roles) == 1:
-        return play(roles[0], config)
-    return host_parties(roles, config)
+    return play(Role(args.role), config)
 
 
 def play(role: Role, config: PartyConfig) -> int:
@@ -262,116 +211,6 @@ def play(role: Role, config: PartyConfig) -> int:
     except (PartyError, FrameError) as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-
-
-def host_parties(roles: list[Role], config: PartyConfig) -> int:
-    """Fork one process per role, each playing it as ``net party --role`` would,
-    reap them all and write one JSON line per party in role order; returns the
-    first non-zero exit code in role order."""
-    reaped = _terminate(_spawn(roles, config), float("inf"))
-    for role in roles:
-        print(json.dumps({"role": role.value, **reaped[role]}), flush=True)
-    code = next((reaped[role]["exit"] for role in roles if reaped[role]["exit"]), 0)
-    return code if code >= 0 else 128 - code  # killed by a signal: as a shell reports it
-
-
-def _spawn(roles, config: PartyConfig) -> dict:
-    """Fork one party per role; returns ``{pid: (role, stderr file)}``.
-
-    Each party's stderr goes to its own unlinked file, so a flood never
-    blocks it. If a fork fails, the parties already forked are ended and
-    reaped, and an OSError names the role that could not be forked.
-    """
-    import tempfile
-
-    parties = {}
-    for role in roles:
-        stderr = tempfile.TemporaryFile()
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            stderr.close()
-            _terminate(parties, 0.0)
-            raise OSError(f"cannot fork party {role.value}: {exc}") from exc
-        if pid == 0:
-            _party_child(role, config, stderr.fileno())
-        parties[pid] = (role, stderr)
-    return parties
-
-
-def _party_child(role: Role, config: PartyConfig, stderr: int):
-    """The forked party: play ``role`` with stdout to the null device and
-    stderr to ``stderr``, holding no other descriptor of the process it was
-    forked from, then end the process without returning."""
-    import gc
-    import signal
-
-    code = 1  # as for an uncaught exception
-    try:
-        # Collecting the caller's garbage here could close a descriptor number
-        # that is by then this party's own.
-        gc.disable()
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.dup2(stderr, 2)
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, 1)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdout = open(1, "w")
-        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace")
-        code = play(role, config)
-    except BaseException:
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        try:
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-
-
-def _reap(parties: dict, wait: float) -> dict:
-    """Reap each party of ``parties`` that ends within ``wait`` seconds and
-    take it out; returns ``{role: {"exit": ..., "stderr": ...}}`` of those."""
-    deadline = time.monotonic() + wait
-    delay = 0.0005
-    reaped = {}
-    while True:
-        for pid in list(parties):
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                role, stderr = parties.pop(pid)
-                reaped[role] = {"exit": os.waitstatus_to_exitcode(status), "stderr": _tail(stderr)}
-                stderr.close()
-        left = deadline - time.monotonic()
-        if not parties or left <= 0:
-            return reaped
-        time.sleep(min(delay, left))
-        delay = min(2 * delay, 0.05)
-
-
-def _terminate(parties: dict, grace: float) -> dict:
-    """Reap the parties ``_spawn`` forked, as :func:`_reap` reports them.
-
-    A party not done after ``grace`` seconds gets SIGTERM, and one still
-    there DEFAULT_TIMEOUT seconds later gets SIGKILL. One that is still
-    unreaped DEFAULT_TIMEOUT seconds after that is left out.
-    """
-    import signal
-
-    reaped = _reap(parties, grace)
-    for signum in (signal.SIGTERM, signal.SIGKILL):
-        for pid in parties:  # not reaped, so the pid is still this party's
-            os.kill(pid, signum)
-        reaped.update(_reap(parties, DEFAULT_TIMEOUT))
-    return reaped
-
-
-def _tail(stderr) -> str:
-    """The last STDERR_TAIL characters of a party's stderr file, stripped."""
-    size = stderr.seek(0, os.SEEK_END)
-    stderr.seek(max(0, size - 4 * STDERR_TAIL))  # at most 4 bytes a character
-    return stderr.read().decode("utf-8", "replace")[-STDERR_TAIL:].strip()
 
 
 def main(argv: list[str]) -> int:

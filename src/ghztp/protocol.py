@@ -48,9 +48,11 @@ from .vocab import (
     QUBIT_B,
     QUBIT_C,
     QUBIT_D,
+    RECIPIENTS,
     BellOutcome,
     CharlieOutcome,
     Role,
+    called_for,
     parse_payload,
 )
 
@@ -65,9 +67,6 @@ class NotYet(PhaseError):
 
 # The qubit each correcting role acts on, Bob first.
 CORRECTION_QUBIT = {Role.BOB: QUBIT_B, Role.CHARLIE: QUBIT_C}
-
-# Who hears each measuring role's outcome.
-RECIPIENTS = {Role.ALICE: frozenset({Role.BOB, Role.CHARLIE}), Role.CHARLIE: frozenset({Role.BOB})}
 
 # The correction tables of :mod:`ghztp.vocab`, each name bound to its unitary.
 BELL_CORRECTION_TABLE: dict[BellOutcome, tuple[Unitary2x2, Unitary2x2]] = {
@@ -318,7 +317,7 @@ def trace_order_errors(events: list[TraceEvent]) -> list[str]:
 @dataclass
 class SessionRegister:
     """One protocol run: the 4-qubit register, its trace, and the moves still
-    due, as ``(role, move, value)`` in the in-process order.
+    due, as ``(role, move, value)`` in the order of :data:`ghztp.vocab.SCHEDULE`.
 
     Each measurement adds the moves its outcome calls for. An owed identity
     changes nothing, so it never holds the session back: the in-process run
@@ -379,6 +378,14 @@ def compose_session(signal: SignalState) -> SessionRegister:
     return session
 
 
+def _due(outcome: BellOutcome | CharlieOutcome) -> list[tuple]:
+    """The moves ``outcome`` calls for, each correction's name bound to its unitary."""
+    return [
+        (role, move, NAMED_UNITARIES[value] if move == "correct" else value)
+        for role, move, value in called_for(outcome)
+    ]
+
+
 def bell_measure(session: SessionRegister, selector: OutcomeSelector) -> BellMeasured:
     """Alice's Bell measurement of (D, A); her broadcast, Bob's and Charlie's
     corrections and Charlie's measurement then come due."""
@@ -386,13 +393,7 @@ def bell_measure(session: SessionRegister, selector: OutcomeSelector) -> BellMea
     outcome, probability, post = measure_bell(session.state, QUBIT_D, QUBIT_A, selector)
     event = BellMeasured(outcome, probability)
     session.state = post
-    u_bob, u_charlie = BELL_CORRECTION_TABLE[outcome]
-    session.due += [
-        (Role.ALICE, "send", outcome),
-        (Role.BOB, "correct", u_bob),
-        (Role.CHARLIE, "correct", u_charlie),
-        (Role.CHARLIE, "basis_measure", None),
-    ]
+    session.due += _due(outcome)
     session.trace.events.append(event)
     return event
 
@@ -431,11 +432,7 @@ def basis_measure(
     k, probability, post = measure_in_basis(session.state, QUBIT_C, PLUS_MINUS, selector)
     event = CharlieMeasured(list(CharlieOutcome)[k], probability)
     session.state = post
-    session.due += [
-        (Role.CHARLIE, "send", event.outcome),
-        (Role.BOB, "correct", CHARLIE_CORRECTION_TABLE[event.outcome]),
-        (Role.BOB, "finish", None),
-    ]
+    session.due += _due(event.outcome)
     session.trace.events.append(event)
     return event
 

@@ -1,5 +1,6 @@
-"""The protocol's vocabulary: roles, measurement outcomes, qubit indices and
-the names of the corrections each outcome calls for.
+"""The protocol's vocabulary: roles, measurement outcomes, qubit indices, the
+names of the corrections each outcome calls for, and the one schedule of
+moves that the protocol engine, the party scripts and the stall names read.
 
 This is everything a party exchanges with the coordinator, and nothing here
 imports numpy, so a party process stays small. :mod:`ghztp.qsim` and
@@ -56,6 +57,53 @@ CHARLIE_CORRECTION_NAMES: dict[CharlieOutcome, str] = {
     CharlieOutcome.PLUS: IDENTITY_NAME,
     CharlieOutcome.MINUS: "Z",
 }
+
+# Who hears each measuring role's outcome: the roles whose correction depends on it.
+RECIPIENTS = {Role.ALICE: frozenset({Role.BOB, Role.CHARLIE}), Role.CHARLIE: frozenset({Role.BOB})}
+
+# The outcome each measurement gives.
+OUTCOMES = {"bell_measure": BellOutcome, "basis_measure": CharlieOutcome}
+
+# Every move of a session in order, as (role, move, the --stop-before stage a
+# party goes silent right before, the stall label of a session stopped there).
+# A measurement's outcome calls for the moves after it, up to and including
+# the next measurement (see called_for).
+SCHEDULE = (
+    (Role.ALICE, "bell_measure", "bell", "BellMeasure"),
+    (Role.ALICE, "send", "broadcast", "Broadcast"),
+    (Role.BOB, "correct", "correction", "BellCorrection"),
+    (Role.CHARLIE, "correct", "correction", "BellCorrection"),
+    (Role.CHARLIE, "basis_measure", "measure", "CharlieMeasure"),
+    (Role.CHARLIE, "send", "send", "CharlieSend"),
+    # Bob's final correction: no party stops right before it.
+    (Role.BOB, "correct", None, "BobFinish"),
+    (Role.BOB, "finish", "finish", "BobFinish"),
+)
+
+
+def correction_name(role: Role, outcome: BellOutcome | CharlieOutcome) -> str:
+    """The name of the correction ``outcome`` calls for from ``role``."""
+    if isinstance(outcome, BellOutcome):
+        return BELL_CORRECTION_NAMES[outcome][(Role.BOB, Role.CHARLIE).index(role)]
+    return CHARLIE_CORRECTION_NAMES[outcome]
+
+
+def called_for(outcome: BellOutcome | CharlieOutcome) -> list[tuple]:
+    """The moves ``outcome`` calls for, in SCHEDULE order, as ``(role, move,
+    value)``: a send carries the outcome, a correction its name, and any
+    other move None."""
+    measured = [OUTCOMES.get(move) for _, move, _, _ in SCHEDULE].index(type(outcome))
+    moves = []
+    for role, move, _, _ in SCHEDULE[measured + 1:]:
+        value = None
+        if move == "send":
+            value = outcome
+        elif move == "correct":
+            value = correction_name(role, outcome)
+        moves.append((role, move, value))
+        if move in OUTCOMES:
+            break
+    return moves
 
 
 def parse_payload(text: str) -> BellOutcome | CharlieOutcome:

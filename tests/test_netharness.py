@@ -618,12 +618,12 @@ class WithoutFinish:
 
 def test_a_session_without_bobs_finish_fails_the_comparison(make_coordinator, monkeypatch):
     # Bob makes every move, fetch_bob_state included, and hangs up unfinished.
-    play_bob = party._run_bob
+    run_schedule = party._run_schedule
 
-    def unfinished_bob(stream, *args):
-        return play_bob(WithoutFinish(stream), *args)
+    def unfinished_bob(stream, role, *args):
+        return run_schedule(WithoutFinish(stream) if role is Role.BOB else stream, role, *args)
 
-    monkeypatch.setattr(party, "_run_bob", unfinished_bob)
+    monkeypatch.setattr(party, "_run_schedule", unfinished_bob)
     coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS, timeout=1.0)
     results = {}
     threads = [start_party(role, coordinator.port, results) for role in Role]
@@ -665,6 +665,31 @@ def test_dropped_charlie_stalls_the_session_before_bob_finishes(make_coordinator
     assert lines == reference.trace.lines()[: len(lines)]
     assert infer_stall(coordinator.session, coordinator.helloed) == ("charlie", "CharlieMeasure")
     assert not any(isinstance(e, Finished) for e in events)
+
+
+@pytest.mark.parametrize("role, stop, stall, events", [
+    pytest.param(Role.ALICE, "broadcast", ("alice", "Broadcast"), 3, id="alice-broadcast"),
+    pytest.param(Role.CHARLIE, "correction", ("charlie", "BellCorrection"), 5,
+                 id="charlie-correction"),
+    pytest.param(Role.CHARLIE, "send", ("charlie", "CharlieSend"), 7, id="charlie-send"),
+])
+def test_a_party_stopped_before_a_stage_stalls_the_session_there(
+    make_coordinator, role, stop, stall, events
+):
+    # PsiMinus, Minus: every stage is a move the party makes. The others
+    # wait out their short timeouts.
+    coordinator = make_coordinator(seed=SEED_ALL_CORRECTIONS, timeout=0.3)
+    results = {}
+    threads = [start_party(r, coordinator.port, results, timeout=0.3,
+                           stop_before=stop if r is role else None) for r in Role]
+    for thread in threads:
+        thread.join(10.0)
+    assert results[role] == 0
+    assert not coordinator.wait(0)
+    coordinator.shutdown()
+    _, got = read_transcript(coordinator.transcript_path)
+    assert len(got) == events
+    assert infer_stall(coordinator.session, coordinator.helloed) == stall
 
 
 def test_a_bob_who_never_corrects_stalls_the_session_at_his_bell_correction(make_coordinator):

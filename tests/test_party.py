@@ -1,8 +1,6 @@
-"""The party process: what it imports, and its command line."""
+"""The party process: what it imports, its script, and its command line."""
 
-import json
 import os
-import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import ghztp
-from ghztp import cli
+from ghztp import cli, party
 from ghztp.netharness import Coordinator
 from ghztp.protocol import Role, SignalState
+from ghztp.wire import Kind, WireMessage
 
 # What a party never needs: the simulator, the protocol engine and the full CLI.
 NUMPY_LAYERS = {"numpy", "ghztp.qsim", "ghztp.protocol", "ghztp.cli"}
@@ -68,14 +67,17 @@ def test_every_name_the_package_exports_resolves():
         assert getattr(ghztp, name) is not None, name
 
 
-def test_a_party_process_never_imports_numpy(tmp_path):
+def run_parties(tmp_path, *flags):
+    """Play the three roles as ``python <flags> -X importtime -m ghztp net
+    party`` processes against a coordinator; returns each one's exit code
+    and stderr."""
     coordinator = Coordinator(SignalState(0.6, 0.8), seed=0, transcript_path=tmp_path / "t.log",
                               timeout=10.0)
     coordinator.start()
     try:
         parties = [
             subprocess.Popen(
-                [sys.executable, "-X", "importtime", "-m", "ghztp", "net", "party",
+                [sys.executable, *flags, "-X", "importtime", "-m", "ghztp", "net", "party",
                  "--role", role.value, "--port", str(coordinator.port), "--timeout", "10"],
                 env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             )
@@ -85,95 +87,59 @@ def test_a_party_process_never_imports_numpy(tmp_path):
     finally:
         coordinator.shutdown()
         logs = [proc.communicate(timeout=10)[1] for proc in parties]
-    for role, proc, log in zip(Role, parties, logs):
-        assert proc.returncode == 0, (role, log[-500:])
+    return [(role, proc.returncode, log) for role, proc, log in zip(Role, parties, logs)]
+
+
+def test_a_party_process_never_imports_numpy(tmp_path):
+    for role, code, log in run_parties(tmp_path):
+        assert code == 0, (role, log[-500:])
         modules = imported_modules(log)
         assert not modules & NUMPY_LAYERS, (role, sorted(modules & NUMPY_LAYERS))
         assert "ghztp.wire" in modules  # the log was read
 
 
 def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_path):
-    # A party host run by hand is the lean path: net orchestrate forks its
-    # parties from a process that has the simulator imported.
-    coordinator = Coordinator(SignalState(0.6, 0.8), seed=0, transcript_path=tmp_path / "t.log",
-                              timeout=10.0)
-    coordinator.start()
-    try:
-        host = subprocess.Popen(
-            [sys.executable, "-X", "importtime", "-m", "ghztp", "net", "party",
-             "--role", "alice", "bob", "charlie", "--port", str(coordinator.port), "--timeout", "10"],
-            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        assert coordinator.wait(10.0)
-    finally:
-        coordinator.shutdown()
-        out, log = host.communicate(timeout=10)
-    assert host.returncode == 0, log[-500:]
-    modules = imported_by_ghztp(log)
-    assert "ghztp.wire" in modules  # the log was read
-    unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
-    assert not unwanted, sorted(unwanted)
-    # A forked party's stderr holds what -X importtime prints for each import
-    # after the fork; there is none, not even the idna codec when it connects.
-    assert [json.loads(line) for line in out.splitlines()] == [
-        {"role": role.value, "exit": 0, "stderr": ""} for role in Role
-    ]
+    # Without site, nothing is imported before ghztp, so the log shows all
+    # that ghztp's modules import. net orchestrate forks its parties from a
+    # process that has the simulator imported.
+    for role, code, log in run_parties(tmp_path, "-S"):
+        assert code == 0, (role, log[-500:])
+        modules = imported_by_ghztp(log)
+        assert "ghztp.wire" in modules  # the log was read
+        unwanted = modules & (NUMPY_LAYERS | HEAVY_STDLIB)
+        assert not unwanted, (role, sorted(unwanted))
+        # Not even the idna codec when it connects.
+        assert not imported_modules(log) & IDNA, (role, sorted(imported_modules(log) & IDNA))
 
 
-def test_a_party_host_plays_every_role_against_a_coordinator(tmp_path):
-    coordinator = Coordinator(SignalState(0.6, 0.8), seed=0, transcript_path=tmp_path / "t.log",
-                              timeout=10.0)
-    coordinator.start()
-    try:
-        host = subprocess.Popen(
-            [sys.executable, "-m", "ghztp", "net", "party", "--role", "alice", "bob", "charlie",
-             "--port", str(coordinator.port), "--timeout", "10"],
-            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        assert coordinator.wait(10.0)
-    finally:
-        coordinator.shutdown()
-        out, err = host.communicate(timeout=10)
-    assert (host.returncode, err) == (0, "")
-    lines = [json.loads(line) for line in out.splitlines()]
-    assert sorted(lines, key=lambda line: line["role"]) == [
-        {"role": role.value, "exit": 0, "stderr": ""} for role in Role
-    ]
-    assert coordinator.transcript_path.read_text().endswith("# session complete\n")
+class Script:
+    """A party's stream that hands it the given messages and records what it sends."""
+
+    def __init__(self, *messages):
+        self.messages = list(messages)
+        self.sent = []
+
+    def send(self, kind: Kind, body: dict):
+        self.sent.append((kind, body))
+
+    def recv(self):
+        return self.messages.pop(0)
 
 
-def test_a_party_host_reports_each_party_that_cannot_connect():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]  # closed once the probe is
-    done = subprocess.run(
-        [sys.executable, "-m", "ghztp", "net", "party", "--role", "bob", "charlie",
-         "--port", str(port), "--timeout", "1"],
-        env=child_env(), capture_output=True, text=True,
-    )
-    assert (done.returncode, done.stderr) == (cli.EXIT_CONNECTION, "")
-    lines = [json.loads(line) for line in done.stdout.splitlines()]
-    assert sorted(line["role"] for line in lines) == ["bob", "charlie"]
-    for line in lines:
-        assert line["exit"] == cli.EXIT_CONNECTION
-        assert line["stderr"].startswith("connection error: ")
-
-
-def test_a_role_given_twice_is_played_once(capsys):
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]  # closed once the probe is
-    # One role left: played in this process, with no host and no JSON line.
-    code = cli.main(["net", "party", "--role", "bob", "bob", "--port", str(port), "--timeout", "1"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (cli.EXIT_CONNECTION, "")
-    assert err.startswith("connection error: ") and err.count("\n") == 1
+def test_a_party_refuses_an_outcome_of_the_wrong_kind():
+    # Bob's first message must carry Alice's Bell outcome.
+    stream = Script(WireMessage(2, "s", Kind.CLASSICAL, {"payload": "Plus"}))
+    with pytest.raises(party.PartyError, match="expected alice's BellOutcome, got"):
+        party._run_schedule(stream, Role.BOB, [2], None)
+    assert stream.sent == []
 
 
 @pytest.mark.parametrize("flags, args, env, code", [
     pytest.param([], ["--help"], {}, 0, id="help"),
     pytest.param([], [], {}, 2, id="no-role"),
     pytest.param([], [], {"GHZTP_ROLE": "eve"}, 2, id="env-role"),
+    # one process plays one role
+    pytest.param([], ["--role", "alice", "bob"], {}, 2, id="two-roles"),
     # -S: a party needs nothing that site processing sets up
     pytest.param(["-S"], ["--help"], {}, 0, id="help-no-site"),
     pytest.param(["-S"], [], {}, 2, id="no-role-no-site"),

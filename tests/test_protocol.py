@@ -55,6 +55,7 @@ from ghztp.protocol import (
     send,
     trace_order_errors,
 )
+from ghztp.vocab import SCHEDULE
 
 ALPHA, BETA = 0.6, 0.8
 
@@ -406,3 +407,17 @@ def test_seeded_selector_sharing_consumes_in_order():
     send(session, Role.CHARLIE, RECIPIENTS[Role.CHARLIE], charlie)
     result = run_protocol(SignalState(ALPHA, BETA), seed=5)
     assert (result.bell_outcome, result.charlie_outcome) == (bell, charlie)
+
+
+@pytest.mark.parametrize("bell, charlie", itertools.product(BellOutcome, CharlieOutcome),
+                         ids=lambda o: o.value)
+def test_a_run_makes_the_moves_of_the_schedule_in_order(monkeypatch, bell, charlie):
+    made = []
+    for name in ("bell_measure", "send", "correct", "basis_measure", "bob_finish"):
+        def record(session, *args, _move=getattr(protocol, name)):
+            made.append(session.due[0][:2])
+            return _move(session, *args)
+
+        monkeypatch.setattr(protocol, name, record)
+    run_protocol(SignalState(ALPHA, BETA), forced=(bell, charlie))
+    assert made == [(role, move) for role, move, _, _ in SCHEDULE]
