@@ -35,7 +35,9 @@ from ghztp.protocol import (
     ClassicalMessage,
     CorrectionApplied,
     Finished,
+    GhzPrepared,
     Role,
+    SignalPrepared,
     SignalState,
     basis_measure,
     bell_measure,
@@ -364,6 +366,31 @@ def test_phase_order_is_enforced_over_the_wire(make_coordinator):
 
         clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": 2})
         expect_error(clients[Role.BOB], ERR_PHASE)
+
+
+@pytest.mark.parametrize("after_alice", [False, True], ids=["before_alice", "after_alice"])
+@pytest.mark.parametrize("role", [Role.BOB, Role.CHARLIE], ids=lambda r: r.value)
+def test_only_alice_prepares(make_coordinator, role, after_alice):
+    coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
+    with joined_session(coordinator) as clients:
+        prepared = []
+        if after_alice:
+            clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+            assert clients[Role.ALICE].recv().kind is Kind.OP_RESULT
+            prepared = [GhzPrepared(), SignalPrepared()]
+
+        clients[role].send(Kind.OP_REQUEST, {"op": "prepare"})
+        expect_error(clients[role], ERR_PHASE)
+        # The refusal is written before it is sent, so no event can be missing yet.
+        assert read_transcript(coordinator.transcript_path)[1] == prepared
+
+        # The session goes on, and the refused party still hears Alice.
+        if not after_alice:
+            clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+            assert clients[Role.ALICE].recv().kind is Kind.OP_RESULT
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
+        assert clients[Role.ALICE].recv().body["outcome"] == "PhiPlus"
+        broadcast(clients, "PhiPlus")
 
 
 def test_full_manual_session_with_unmatched_correction_refused(make_coordinator):
