@@ -66,10 +66,10 @@ from .protocol import (
     basis_measure,
     bell_measure,
     bob_finish,
-    compose_session,
     correct,
     event_line,
     parse_event_line,
+    prepare,
     run_protocol,
     send,
 )
@@ -187,7 +187,6 @@ class Coordinator:
         port: int = 0,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        self.signal = signal
         self.session_id = uuid.uuid4().hex[:12]
         self.timeout = timeout
         self.transcript_path = Path(transcript_path)
@@ -195,7 +194,7 @@ class Coordinator:
         self._selector = SeededSelector(seed)
         # The register, the roles that ever said Hello and the roles that sent
         # Finish: read them once the loop has stopped.
-        self.session: SessionRegister | None = None  # None until prepared
+        self.session = SessionRegister(signal)
         self.helloed: set[Role] = set()
         self.finished: set[Role] = set()
         self._written = 0  # trace events already in the transcript
@@ -404,15 +403,9 @@ class Coordinator:
         except PhaseError as exc:
             raise _SessionError(ERR_PHASE, str(exc)) from None
         finally:
-            if self.session is not None:
-                for event in self.session.trace.events[self._written:]:
-                    self._transcript.write(event_line(event) + "\n")
-                self._written = len(self.session.trace.events)
-
-    def _prepared(self) -> SessionRegister:
-        if self.session is None:
-            raise _SessionError(ERR_PHASE, "session not prepared")
-        return self.session
+            for event in self.session.trace.events[self._written:]:
+                self._transcript.write(event_line(event) + "\n")
+            self._written = len(self.session.trace.events)
 
     # -- message handlers ----------------------------------------------------
 
@@ -452,8 +445,7 @@ class Coordinator:
         self._check_done()
 
     def _check_done(self) -> None:
-        session = self.session
-        if session is not None and not session.due and self.finished == set(Role):
+        if not self.session.due and self.finished == set(Role):
             self._done.set()
 
     def classical(self, role: Role, body: dict) -> None:
@@ -463,7 +455,7 @@ class Coordinator:
         except (KeyError, ValueError, TypeError):
             raise _SessionError(ERR_FRAME, f"malformed Classical body {body!r}")
         with self._move():
-            message = send(self._prepared(), role, recipients, payload)
+            message = send(self.session, role, recipients, payload)
             for recipient in sorted(recipients, key=lambda r: r.value):
                 target = self._streams.get(recipient)
                 if target is not None:
@@ -503,20 +495,16 @@ class Coordinator:
         return qubits
 
     def _op_prepare(self, role: Role, body: dict) -> dict:
-        if role is not Role.ALICE:
-            raise _SessionError(ERR_PHASE, "prepare is Alice's move")
         if len(self._streams) < len(Role):
             raise _SessionError(ERR_PHASE, "session not ready: parties missing")
-        if self.session is not None:
-            raise _SessionError(ERR_PHASE, "already prepared")
-        self.session = compose_session(self.signal)
+        prepare(self.session, role)
         return {"op": "prepare", "ok": True}
 
     def _op_bell_measure(self, role: Role, body: dict) -> dict:
         qubits = self._require_qubits(role, body.get("qubits"))
         if qubits != [QUBIT_D, QUBIT_A]:
             raise _SessionError(ERR_PHASE, f"bell_measure covers the (D, A) pair, got {qubits}")
-        return _measured("bell_measure", bell_measure(self._prepared(), self._selector))
+        return _measured("bell_measure", bell_measure(self.session, self._selector))
 
     def _op_apply_correction(self, role: Role, body: dict) -> dict:
         (qubit,) = self._require_qubits(role, [body.get("qubit")])
@@ -525,18 +513,18 @@ class Coordinator:
         # Identity corrections never cross the wire: parties skip them.
         if unitary is None or unitary.is_identity():
             raise _SessionError(ERR_PHASE, f"no correction {name!r} is ever requested")
-        correct(self._prepared(), role, unitary)
+        correct(self.session, role, unitary)
         return {"op": "apply_correction", "applied": name, "qubit": qubit}
 
     def _op_basis_measure(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
         if body.get("basis") != "plus_minus":
             raise _SessionError(ERR_PHASE, f"unsupported basis {body.get('basis')!r}")
-        return _measured("basis_measure", basis_measure(self._prepared(), role, self._selector))
+        return _measured("basis_measure", basis_measure(self.session, role, self._selector))
 
     def _op_fetch_bob_state(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
-        bob_state, fidelity = bob_finish(self._prepared(), role)
+        bob_state, fidelity = bob_finish(self.session, role)
         self._check_done()
         return {
             "op": "fetch_bob_state",
@@ -583,21 +571,18 @@ def _networked(reference: ProtocolResult) -> list[TraceEvent]:
     ]
 
 
-def infer_stall(session: SessionRegister | None, helloed: set[Role]) -> tuple[str, str] | None:
+def infer_stall(session: SessionRegister, helloed: set[Role]) -> tuple[str, str] | None:
     """(stalled_role, stalled_at) of a session that stopped short, from its
-    register and the roles that said Hello: every role that never did, Alice's
-    Prepare, or else the SCHEDULE label of the first move still due, passing
-    over the identity corrections a networked party never requests. None once
-    no move is due."""
+    register and the roles that said Hello: every role that never did, or else
+    the SCHEDULE label of the first move still due, passing over the identity
+    corrections a networked party never requests. None once no move is due."""
     missing = sorted(r.value for r in Role if r not in helloed)
     if missing:
         return ",".join(missing), "Join"
-    if session is None:
-        return Role.ALICE.value, "Prepare"
     if not session.due:
         return None
-    # The moves due are a run of SCHEDULE that ends in a measurement or in
-    # Bob's finish, each of which occurs once in it.
+    # The moves due are a run of SCHEDULE that ends in Alice's prepare, a
+    # measurement or Bob's finish, each of which occurs once in it.
     end = [entry[:2] for entry in SCHEDULE].index(session.due[-1][:2]) + 1
     entries = SCHEDULE[end - len(session.due): end]
     for (role, move, value), (_, _, _, label) in zip(session.due, entries):
@@ -660,7 +645,7 @@ def _spawn(roles, config: PartyConfig) -> dict:
             pid = os.fork()
         except OSError as exc:
             stderr.close()
-            _terminate(parties, 0.0)
+            _terminate(parties, 0.0, config.timeout)
             raise OSError(f"cannot fork party {role.value}: {exc}") from exc
         if pid == 0:
             _party_child(role, config, stderr.fileno())
@@ -714,18 +699,18 @@ def _reap(parties: dict, wait: float) -> dict:
         delay = min(2 * delay, 0.05)
 
 
-def _terminate(parties: dict, grace: float) -> dict:
+def _terminate(parties: dict, grace: float, timeout: float) -> dict:
     """Reap the parties ``_spawn`` forked, as :func:`_reap` reports them.
 
     A party not done after ``grace`` seconds gets SIGTERM, and one still
-    there DEFAULT_TIMEOUT seconds later gets SIGKILL. One that is still
-    unreaped DEFAULT_TIMEOUT seconds after that is left out.
+    there ``timeout`` seconds later, the session's, gets SIGKILL. One that is
+    still unreaped ``timeout`` seconds after that is left out.
     """
     reaped = _reap(parties, grace)
     for signum in (signal.SIGTERM, signal.SIGKILL):
         for pid in parties:  # not reaped, so the pid is still this party's
             os.kill(pid, signum)
-        reaped.update(_reap(parties, DEFAULT_TIMEOUT))
+        reaped.update(_reap(parties, timeout))
     return reaped
 
 
@@ -791,7 +776,7 @@ def orchestrate(
         # After a stall the ones still waiting are killed on open connections,
         # which the stopped coordinator neither reads nor writes about.
         coordinator.stop()
-        reaped = _terminate(parties, timeout if done else 0.0)
+        reaped = _terminate(parties, timeout if done else 0.0, timeout)
         coordinator.shutdown()
 
     _, events = read_transcript(transcript)

@@ -112,8 +112,9 @@ def _run_schedule(stream: MessageStream, role: Role, qubits, stop: str | None) -
             continue
         if stop is not None and stage == stop:
             return
-        if move == "bell_measure":
+        if move == "prepare":
             _request(stream, {"op": "prepare"})
+        elif move == "bell_measure":
             made = _request(stream, {"op": "bell_measure", "qubits": qubits})["outcome"]
         elif move == "send":
             recipients = sorted(r.value for r in RECIPIENTS[role])

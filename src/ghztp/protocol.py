@@ -308,10 +308,11 @@ def trace_order_errors(events: list[TraceEvent]) -> list[str]:
 
 # --- session -----------------------------------------------------------------
 #
-# Each party's move is one function below, and these functions are the only
-# code that changes a session's state, due moves or trace. The in-process run
-# and the networked coordinator both drive a session through them, so both
-# are held to the one order the session's due list states.
+# Each party's move is one function below, from Alice's preparation of a new
+# register to Bob's finish, and these functions are the only code that changes
+# a session's state, due moves or trace. The in-process run and the networked
+# coordinator both drive a session through them, so both are held to the one
+# order the session's due list states.
 
 
 @dataclass
@@ -319,15 +320,16 @@ class SessionRegister:
     """One protocol run: the 4-qubit register, its trace, and the moves still
     due, as ``(role, move, value)`` in the order of :data:`ghztp.vocab.SCHEDULE`.
 
-    Each measurement adds the moves its outcome calls for. An owed identity
-    changes nothing, so it never holds the session back: the in-process run
-    makes it and logs it, a networked party skips it.
+    Alice's preparation adds her Bell measurement, and each measurement the
+    moves its outcome calls for. An owed identity changes nothing, so it never
+    holds the session back: the in-process run makes it and logs it, a
+    networked party skips it.
     """
 
     signal: SignalState
-    state: StateVector
+    state: StateVector | None = None  # None until Alice prepares
     trace: ProtocolTrace = field(default_factory=ProtocolTrace)
-    due: list[tuple] = field(default_factory=lambda: [(Role.ALICE, "bell_measure", None)])
+    due: list[tuple] = field(default_factory=lambda: [(Role.ALICE, "prepare", None)])
 
     def take(self, role: Role, move: str, value=None) -> None:
         """Mark one move made, and every owed identity due before it passed over.
@@ -370,11 +372,19 @@ def prepare_signal(s: SignalState) -> StateVector:
     return StateVector(1, [s.alpha, s.beta])
 
 
+def prepare(session: SessionRegister, role: Role) -> None:
+    """Alice's preparation: signal ⊗ GHZ as one 4-qubit register with roles
+    D, A, B, C at 0..3; her Bell measurement then comes due."""
+    session.take(role, "prepare")
+    session.state = tensor(prepare_signal(session.signal), prepare_ghz())
+    session.due.append((Role.ALICE, "bell_measure", None))
+    session.trace.events += [GhzPrepared(), SignalPrepared()]
+
+
 def compose_session(signal: SignalState) -> SessionRegister:
-    """Signal ⊗ GHZ as one 4-qubit register with roles D, A, B, C at 0..3."""
-    session = SessionRegister(signal, tensor(prepare_signal(signal), prepare_ghz()))
-    session.trace.events.append(GhzPrepared())
-    session.trace.events.append(SignalPrepared())
+    """A register for ``signal`` with Alice's preparation made."""
+    session = SessionRegister(signal)
+    prepare(session, Role.ALICE)
     return session
 
 
@@ -509,10 +519,12 @@ def run_protocol(
         shared = SeededSelector(seed)
         bell_selector = charlie_selector = shared
 
-    session = compose_session(signal)
+    session = SessionRegister(signal)
     while session.due:
         role, move, value = session.due[0]
-        if move == "bell_measure":
+        if move == "prepare":
+            prepare(session, role)
+        elif move == "bell_measure":
             bell = bell_measure(session, bell_selector)
         elif move == "send":
             send(session, role, RECIPIENTS[role], value)

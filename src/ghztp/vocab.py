@@ -66,10 +66,12 @@ OUTCOMES = {"bell_measure": BellOutcome, "basis_measure": CharlieOutcome}
 
 # Every move of a session in order, as (role, move, the --stop-before stage a
 # party goes silent right before, the stall label of a session stopped there).
-# A measurement's outcome calls for the moves after it, up to and including
-# the next measurement (see called_for).
+# Alice's prepare calls for her Bell measurement, and each measurement's
+# outcome for the moves after it, up to and including the next (called_for).
 SCHEDULE = (
-    (Role.ALICE, "bell_measure", "bell", "BellMeasure"),
+    (Role.ALICE, "prepare", "bell", "Prepare"),
+    # Alice goes silent before her Bell measurement by not preparing.
+    (Role.ALICE, "bell_measure", None, "BellMeasure"),
     (Role.ALICE, "send", "broadcast", "Broadcast"),
     (Role.BOB, "correct", "correction", "BellCorrection"),
     (Role.CHARLIE, "correct", "correction", "BellCorrection"),

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import select
+import signal
 import socket
 import sys
 import threading
@@ -37,13 +38,14 @@ from ghztp.protocol import (
     Finished,
     GhzPrepared,
     Role,
+    SessionRegister,
     SignalPrepared,
     SignalState,
     basis_measure,
     bell_measure,
     bob_finish,
-    compose_session,
     correct,
+    prepare,
     run_protocol,
     send,
 )
@@ -349,7 +351,8 @@ def test_a_qubit_list_must_be_a_json_list_of_integers(make_coordinator, qubits):
 def test_phase_order_is_enforced_over_the_wire(make_coordinator):
     coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
     with joined_session(coordinator) as clients:
-        assert coordinator.session is None
+        assert coordinator.session.state is None
+        assert coordinator.session.due == [(Role.ALICE, "prepare", None)]
 
         clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
         expect_error(clients[Role.ALICE], ERR_PHASE)
@@ -771,8 +774,8 @@ def test_infer_stall_names_the_first_move_due_on_every_branch(bell, charlie):
         ("bob", "BobFinish"),
         None,
     ]
-    labels = [infer_stall(None, set(Role))]
-    session = compose_session(SIGNAL)
+    labels = []
+    session = SessionRegister(SIGNAL)
     while session.due:
         labels.append(infer_stall(session, set(Role)))
         # The move a networked party makes next: it never requests an identity.
@@ -780,7 +783,9 @@ def test_infer_stall_names_the_first_move_due_on_every_branch(bell, charlie):
             (role, move, value) for role, move, value in session.due
             if not (move == "correct" and value.is_identity())
         )
-        if move == "bell_measure":
+        if move == "prepare":
+            prepare(session, role)
+        elif move == "bell_measure":
             bell_measure(session, ForcedSelector(list(BellOutcome).index(bell)))
         elif move == "send":
             send(session, role, RECIPIENTS[role], value)
@@ -795,8 +800,9 @@ def test_infer_stall_names_the_first_move_due_on_every_branch(bell, charlie):
 
 
 def test_infer_stall_names_every_role_that_never_said_hello():
-    assert infer_stall(None, {Role.ALICE, Role.CHARLIE}) == ("bob", "Join")
-    assert infer_stall(None, set()) == ("alice,bob,charlie", "Join")
+    session = SessionRegister(SIGNAL)
+    assert infer_stall(session, {Role.ALICE, Role.CHARLIE}) == ("bob", "Join")
+    assert infer_stall(session, set()) == ("alice,bob,charlie", "Join")
 
 
 def test_compare_transcript_accepts_the_reference_itself():
@@ -960,6 +966,24 @@ def test_a_stalled_session_names_the_party_that_failed(tmp_path, monkeypatch):
     ]
     assert report.parties["bob"] == {"exit": 1, "stderr": "bob cannot start"}
     assert sorted(report.parties) == ["alice", "bob", "charlie"]
+
+
+def deaf_charlie(role, config):
+    """Ignores SIGTERM and never joins."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    time.sleep(60)
+    return 0
+
+
+def test_a_party_that_ignores_sigterm_is_killed_within_the_timeout(tmp_path, monkeypatch):
+    patch_play(monkeypatch, deaf_charlie, [Role.CHARLIE])
+    start = time.monotonic()
+    report = orchestrate(SIGNAL, seed=0, timeout=0.5, transcript_dir=tmp_path)
+    assert time.monotonic() - start < 5.0
+    assert (report.stalled_role, report.stalled_at) == ("charlie", "Join")
+    assert report.parties["charlie"]["exit"] == -signal.SIGKILL
+    # Alice and Bob, waiting for their Grant, end at SIGTERM.
+    assert report.parties["alice"]["exit"] == report.parties["bob"]["exit"] == -signal.SIGTERM
 
 
 # What os.fork raises when the process limit is reached.

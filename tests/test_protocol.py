@@ -413,7 +413,7 @@ def test_seeded_selector_sharing_consumes_in_order():
                          ids=lambda o: o.value)
 def test_a_run_makes_the_moves_of_the_schedule_in_order(monkeypatch, bell, charlie):
     made = []
-    for name in ("bell_measure", "send", "correct", "basis_measure", "bob_finish"):
+    for name in ("prepare", "bell_measure", "send", "correct", "basis_measure", "bob_finish"):
         def record(session, *args, _move=getattr(protocol, name)):
             made.append(session.due[0][:2])
             return _move(session, *args)
