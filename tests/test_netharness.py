@@ -584,6 +584,33 @@ def test_bob_cannot_finish_before_charlies_message(make_coordinator):
         assert clients[Role.BOB].recv().kind is Kind.OP_RESULT
 
 
+def test_a_session_completes_on_bobs_fetch_when_every_finish_came_first(make_coordinator):
+    # Three Finishes with a move still due do not complete the session; the
+    # move that empties the schedule does, with nothing more to come.
+    coordinator = make_coordinator(seed=SEED_NO_CORRECTIONS)
+    with joined_session(coordinator) as clients:
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "prepare"})
+        clients[Role.ALICE].recv()
+        clients[Role.ALICE].send(Kind.OP_REQUEST, {"op": "bell_measure", "qubits": [0, 1]})
+        clients[Role.ALICE].recv()
+        broadcast(clients, "PhiPlus")
+        clients[Role.CHARLIE].send(
+            Kind.OP_REQUEST, {"op": "basis_measure", "qubit": 3, "basis": "plus_minus"}
+        )
+        clients[Role.CHARLIE].recv()
+        clients[Role.CHARLIE].send(Kind.CLASSICAL, {"recipients": ["bob"], "payload": "Plus"})
+        clients[Role.BOB].recv()
+        for role, client in clients.items():
+            client.send(Kind.FINISH, {})
+            wait_for_meta(coordinator, f"finish role={role.value}")
+        assert not coordinator.wait(0.2)
+        clients[Role.BOB].send(Kind.OP_REQUEST, {"op": "fetch_bob_state", "qubit": 2})
+        assert clients[Role.BOB].recv().kind is Kind.OP_RESULT
+        assert coordinator.wait()
+    coordinator.shutdown()
+    assert coordinator.transcript_path.read_text().endswith("# session complete\n")
+
+
 # --- scripted parties end to end ---------------------------------------------
 
 
