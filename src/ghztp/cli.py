@@ -22,7 +22,6 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .qsim import (
     BellOutcome,
@@ -70,55 +69,21 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: signal choice, sampling policy, output format."""
-
-    alpha: complex | None = None
-    beta: complex | None = None
-    preset: str | None = None
-    seed: int | None = None
-    forced: tuple[BellOutcome, CharlieOutcome] | None = None
-    format: str = "human"
-
-    def __post_init__(self):
-        explicit = self.alpha is not None or self.beta is not None
-        if explicit and self.preset:
+def _signal(args) -> SignalState:
+    """The signal to teleport; 'plus' if neither amplitudes nor preset given."""
+    if args.alpha is not None or args.beta is not None:
+        if args.preset:
             raise UsageError("give either --alpha/--beta or --preset, not both")
-        if explicit and (self.alpha is None or self.beta is None):
+        if args.alpha is None or args.beta is None:
             raise UsageError("--alpha and --beta must be given together")
-        if self.forced is not None and self.seed is not None:
-            raise UsageError("--seed conflicts with forced outcomes")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        forced = None
-        force_bell = getattr(args, "force_bell", None)
-        force_charlie = getattr(args, "force_charlie", None)
-        if (force_bell is None) != (force_charlie is None):
-            raise UsageError("--force-bell and --force-charlie must be given together")
-        if force_bell is not None:
-            forced = (BellOutcome(force_bell), CharlieOutcome(force_charlie))
-        return cls(
-            alpha=complex(*args.alpha) if args.alpha is not None else None,
-            beta=complex(*args.beta) if args.beta is not None else None,
-            preset=args.preset,
-            seed=getattr(args, "seed", None),
-            forced=forced,
-            format=getattr(args, "format", "human"),
-        )
-
-    def resolve_signal(self) -> SignalState:
-        """The signal to teleport; 'plus' if neither amplitudes nor preset given."""
-        if self.alpha is not None:
-            try:
-                return SignalState(self.alpha, self.beta)
-            except ValidationError as exc:
-                raise UsageError(f"invalid amplitudes: {exc}")
-        preset = self.preset or "plus"
-        if preset == "random":
-            return random_signal(random.Random(self.seed or 0))
-        return SignalState(*PRESETS[preset])
+        try:
+            return SignalState(complex(*args.alpha), complex(*args.beta))
+        except ValidationError as exc:
+            raise UsageError(f"invalid amplitudes: {exc}")
+    preset = args.preset or "plus"
+    if preset == "random":
+        return random_signal(random.Random(args.seed or 0))
+    return SignalState(*PRESETS[preset])
 
 
 def _fmt(value: float) -> str:
@@ -157,18 +122,22 @@ def _print_signal(signal: SignalState) -> None:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig.from_args(args)
-    signal = config.resolve_signal()
+    if (args.force_bell is None) != (args.force_charlie is None):
+        raise UsageError("--force-bell and --force-charlie must be given together")
+    signal = _signal(args)
+    if args.force_bell is not None and args.seed is not None:
+        raise UsageError("--seed conflicts with forced outcomes")
     try:
-        if config.forced is not None:
-            result = run_protocol(signal, forced=config.forced)
+        if args.force_bell is not None:
+            forced = (BellOutcome(args.force_bell), CharlieOutcome(args.force_charlie))
+            result = run_protocol(signal, forced=forced)
         else:
-            result = run_protocol(signal, seed=config.seed if config.seed is not None else 0)
+            result = run_protocol(signal, seed=args.seed or 0)
     except ImpossibleOutcomeError as exc:
         print(f"impossible forced outcome: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE
 
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(result.to_json()))
     else:
         _print_signal(signal)
@@ -187,7 +156,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    signal = RunConfig.from_args(args).resolve_signal()
+    signal = _signal(args)
     reports = enumerate_branches(signal)
     total = sum(r.probability for r in reports)
     worst = min(r.bob_fidelity for r in reports)
@@ -229,7 +198,7 @@ def cmd_security(args) -> int:
             )
         return EXIT_OK
 
-    signal = RunConfig.from_args(args).resolve_signal()
+    signal = _signal(args)
     try:
         reports = [(bell, bob_view_before_charlie(signal, bell)) for bell in BellOutcome]
     except ValidationError as exc:
@@ -258,7 +227,7 @@ def cmd_security(args) -> int:
 def cmd_stats(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
-    signal = RunConfig.from_args(args).resolve_signal()
+    signal = _signal(args)
     master = random.Random(args.seed)
     bell_counts: Counter = Counter()
     charlie_counts: Counter = Counter()
@@ -303,7 +272,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_net_serve(args) -> int:
-    signal = RunConfig.from_args(args).resolve_signal()
+    signal = _signal(args)
     try:
         coordinator = Coordinator(
             signal=signal,
@@ -326,7 +295,7 @@ def cmd_net_serve(args) -> int:
 
 
 def cmd_net_orchestrate(args) -> int:
-    signal = RunConfig.from_args(args).resolve_signal()
+    signal = _signal(args)
     report = netharness.orchestrate(
         signal=signal,
         seed=args.seed,

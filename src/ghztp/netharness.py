@@ -33,7 +33,6 @@ state (see :func:`infer_stall`), never from the transcript's text.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import os
 import selectors
@@ -175,7 +174,9 @@ class Coordinator:
     until it is due or its deadline passes. One thread serves the session: it
     accepts the parties and handles every message of every connection, one at
     a time, so the transcript is a total order consistent with each
-    connection's send order.
+    connection's send order. Every message ends in :meth:`_answer`, which
+    turns the engine's refusals into ERR_PHASE, writes the event lines the
+    message's move added, and marks the session done.
     """
 
     def __init__(
@@ -333,9 +334,10 @@ class Coordinator:
                 self._poller.unregister(conn.sock)
 
     def _answer(self, conn: _Connection, message, deadline: float) -> bool:
-        """Make the move ``message`` asks for, or refuse it. A move that is
-        not due yet changes nothing: it returns False until ``deadline``,
-        and is refused after it."""
+        """Make the move ``message`` asks for, or refuse it; then write the
+        trace events it added, and mark the session done once no move is due
+        and every role has sent Finish. A move that is not due yet changes
+        nothing: it returns False until ``deadline``, and is refused after it."""
         try:
             if message.kind is Kind.HELLO:
                 if conn.role is not None:  # one connection plays one role
@@ -355,8 +357,16 @@ class Coordinator:
             if time.monotonic() < deadline:
                 return False
             self._refuse(conn, _SessionError(ERR_PHASE, str(exc)))
+        except PhaseError as exc:  # a move the engine refuses
+            self._refuse(conn, _SessionError(ERR_PHASE, str(exc)))
         except _SessionError as exc:
             self._refuse(conn, exc)
+        finally:
+            for event in self.session.trace.events[self._written:]:
+                self._transcript.write(event_line(event) + "\n")
+            self._written = len(self.session.trace.events)
+            if not self.session.due and self.finished == set(Role):
+                self._done.set()
         return True
 
     def _refuse(self, conn: _Connection, exc: _SessionError) -> None:
@@ -386,26 +396,10 @@ class Coordinator:
         if conn.role is not None:
             self.detach(conn.role)
 
-    # -- moves and the transcript -------------------------------------------
+    # -- the transcript --------------------------------------------------------
 
     def _meta(self, text: str) -> None:
         self._transcript.write(f"# {text}\n")
-
-    @contextlib.contextmanager
-    def _move(self):
-        """One move, refused with ERR_PHASE where the engine refuses it and
-        passed on as NotYet where it waits; then write the trace events it
-        added."""
-        try:
-            yield
-        except NotYet:
-            raise
-        except PhaseError as exc:
-            raise _SessionError(ERR_PHASE, str(exc)) from None
-        finally:
-            for event in self.session.trace.events[self._written:]:
-                self._transcript.write(event_line(event) + "\n")
-            self._written = len(self.session.trace.events)
 
     # -- message handlers ----------------------------------------------------
 
@@ -442,11 +436,6 @@ class Coordinator:
     def finish(self, role: Role) -> None:
         self.finished.add(role)
         self._meta(f"finish role={role.value}")
-        self._check_done()
-
-    def _check_done(self) -> None:
-        if not self.session.due and self.finished == set(Role):
-            self._done.set()
 
     def classical(self, role: Role, body: dict) -> None:
         try:
@@ -454,31 +443,31 @@ class Coordinator:
             payload = parse_payload(body["payload"])
         except (KeyError, ValueError, TypeError):
             raise _SessionError(ERR_FRAME, f"malformed Classical body {body!r}")
-        with self._move():
-            message = send(self.session, role, recipients, payload)
-            for recipient in sorted(recipients, key=lambda r: r.value):
-                target = self._streams.get(recipient)
-                if target is not None:
-                    target.send(
-                        Kind.CLASSICAL,
-                        {
-                            "seq": message.seq,
-                            "sender": role.value,
-                            "recipients": sorted(r.value for r in recipients),
-                            "payload": payload.value,
-                        },
-                    )
+        message = send(self.session, role, recipients, payload)
+        for recipient in sorted(recipients, key=lambda r: r.value):
+            target = self._streams.get(recipient)
+            if target is not None:
+                target.send(
+                    Kind.CLASSICAL,
+                    {
+                        "seq": message.seq,
+                        "sender": role.value,
+                        "recipients": sorted(r.value for r in recipients),
+                        "payload": payload.value,
+                    },
+                )
 
     def op_request(self, role: Role, body: dict, stream: MessageStream) -> dict:
-        """Make the move one OpRequest asks for and send its OpResult; raises
-        NotYet, having changed nothing, for a move that is not due yet."""
+        """Make the move one OpRequest asks for and send its OpResult. The
+        engine's PhaseError (or NotYet, having changed nothing, for a move that
+        is not due yet) passes to :meth:`_answer`, which refuses it with
+        ERR_PHASE and writes the move's event lines."""
         op = body.get("op")
         handler = self._OPS.get(op) if isinstance(op, str) else None
         if handler is None:
             raise _SessionError(ERR_FRAME, f"unknown op {op!r}")
-        with self._move():
-            result = handler(self, role, body)
-            stream.send(Kind.OP_RESULT, result)
+        result = handler(self, role, body)
+        stream.send(Kind.OP_RESULT, result)
         return result
 
     # -- ops ------------------------------------------------------------------
@@ -525,7 +514,6 @@ class Coordinator:
     def _op_fetch_bob_state(self, role: Role, body: dict) -> dict:
         self._require_qubits(role, [body.get("qubit")])
         bob_state, fidelity = bob_finish(self.session, role)
-        self._check_done()
         return {
             "op": "fetch_bob_state",
             "amplitudes": [[a.real, a.imag] for a in bob_state.amplitudes],

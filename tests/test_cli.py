@@ -12,13 +12,10 @@ from ghztp.cli import (
     EXIT_OK,
     EXIT_STALLED,
     EXIT_USAGE,
-    PRESETS,
-    RunConfig,
-    UsageError,
     main,
 )
 from ghztp.protocol import SignalState, run_protocol
-from ghztp.qsim import SQRT_HALF, BellOutcome, CharlieOutcome
+from ghztp.qsim import SQRT_HALF, BellOutcome
 from ghztp.verify import bob_view_before_charlie, enumerate_branches
 
 
@@ -34,35 +31,18 @@ def closed_port() -> int:
         return sock.getsockname()[1]
 
 
-# --- RunConfig ---------------------------------------------------------------
+# --- signal flags ------------------------------------------------------------
 
 
-def test_config_rejects_amplitudes_and_preset_together():
-    with pytest.raises(UsageError):
-        RunConfig(alpha=complex(1), beta=complex(0), preset="plus")
+def test_the_signal_defaults_to_the_plus_preset(capsys):
+    assert run_cli(capsys, "enumerate") == run_cli(capsys, "enumerate", "--preset", "plus")
 
 
-def test_config_rejects_half_given_amplitudes():
-    with pytest.raises(UsageError):
-        RunConfig(alpha=complex(1))
-
-
-def test_config_rejects_seed_with_forced_outcomes():
-    with pytest.raises(UsageError):
-        RunConfig(seed=1, forced=(BellOutcome.PHI_PLUS, CharlieOutcome.PLUS))
-
-
-def test_config_defaults_to_the_plus_preset():
-    assert RunConfig().resolve_signal() == SignalState(*PRESETS["plus"])
-
-
-def test_config_random_preset_is_seed_deterministic():
-    assert RunConfig(preset="random", seed=9).resolve_signal() == RunConfig(
-        preset="random", seed=9
-    ).resolve_signal()
-    assert RunConfig(preset="random", seed=9).resolve_signal() != RunConfig(
-        preset="random", seed=10
-    ).resolve_signal()
+def test_the_random_preset_is_seed_deterministic(capsys):
+    drawn = run_cli(capsys, "enumerate", "--preset", "random", "--seed", "9")
+    assert drawn[0] == EXIT_OK
+    assert run_cli(capsys, "enumerate", "--preset", "random", "--seed", "9") == drawn
+    assert run_cli(capsys, "enumerate", "--preset", "random", "--seed", "10") != drawn
 
 
 # --- run ---------------------------------------------------------------------
