@@ -6,8 +6,9 @@ line-oriented network harness that runs the same protocol across processes
 (wire, netharness, party). The ``ghztp`` command line fronts all of it.
 
 Importing the package imports only the protocol's vocabulary (vocab); the
-names that need numpy are bound on first use (PEP 562), so a party process,
-which never uses them, never imports numpy.
+names that need the simulator are bound on first use (PEP 562), so a party
+process, which never uses them, imports neither the simulator nor the
+``dataclasses`` and ``typing`` modules the protocol engine needs.
 """
 
 import importlib

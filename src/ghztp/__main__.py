@@ -1,7 +1,8 @@
 """``python -m ghztp`` and the ``ghztp`` console script.
 
 ``net party`` goes to :mod:`ghztp.party` before :mod:`ghztp.cli` is
-imported, so a party process never imports numpy.
+imported, so a party process never imports the simulator, ``dataclasses``
+or ``typing``.
 """
 
 import sys

@@ -31,7 +31,7 @@ from .qsim import (
     ValidationError,
 )
 from .protocol import Role, random_signal
-# From the package, not from .protocol: the package binds its numpy-backed
+# From the package, not from .protocol: the package binds its simulator-backed
 # names on first use, and this binds ghztp.SignalState and ghztp.run_protocol
 # as soon as cli is imported, so a tracer that wraps run_protocol finds every
 # binding of it in place.
@@ -178,6 +178,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_security(args) -> int:
+    # Read even when --sweep ignores it, so bad signal flags are a usage error.
+    signal = _signal(args)
     if args.sweep is not None:
         if args.sweep < 1:
             raise UsageError("--sweep needs at least 1 sample")
@@ -198,7 +200,6 @@ def cmd_security(args) -> int:
             )
         return EXIT_OK
 
-    signal = _signal(args)
     try:
         reports = [(bell, bob_view_before_charlie(signal, bell)) for bell in BellOutcome]
     except ValidationError as exc:

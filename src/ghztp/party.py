@@ -3,8 +3,9 @@ Charlie, and the ``ghztp net party`` command that runs them.
 
 A party only exchanges names with the coordinator (roles, outcomes and
 corrections, see :mod:`ghztp.vocab`), so this module and everything it
-imports leave numpy out: ``python -m ghztp net party`` starts here, before
-:mod:`ghztp.cli` and the simulator are imported.
+imports leave the simulator, ``dataclasses`` and ``typing`` out:
+``python -m ghztp net party`` starts here, before :mod:`ghztp.cli` and the
+simulator are imported.
 
 Each party makes its own moves of :data:`ghztp.vocab.SCHEDULE`, in order, so
 the parties follow the order the protocol engine admits by construction.

@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Union
 
-import numpy as np
-
 from .qsim import (
     NAMED_UNITARIES,
     PLUS_MINUS,
@@ -361,8 +359,8 @@ def prepare_ghz() -> StateVector:
     The state is a session-independent constant and StateVector is immutable,
     so the one instance is shared by every run.
     """
-    amplitudes = np.zeros(8, dtype=np.complex128)
-    amplitudes[0] = amplitudes[7] = SQRT_HALF
+    amplitudes = [0j] * 8
+    amplitudes[0] = amplitudes[7] = complex(SQRT_HALF)
     return StateVector._wrap(3, amplitudes)
 
 

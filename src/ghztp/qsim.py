@@ -8,14 +8,20 @@ ket labels.
 
 States are immutable values: every operation returns a new StateVector and
 never mutates its input, so values are safe to hand between threads.
+
+The protocol needs at most 4 qubits, 16 amplitudes, so the arithmetic runs on
+tuples of Python complex numbers. Every kernel adds its terms one by one in
+index order, with no fused multiply-add and not through the builtin ``sum``
+(which compensates float sums from Python 3.12 on), so every result has the
+same bits on every host.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .vocab import IDENTITY_NAME, BellOutcome, CharlieOutcome  # noqa: F401 (re-exported)
 
@@ -28,7 +34,7 @@ ATOL_ACCUMULATED = 1e-10
 NORM_REPAIR_TOL = 1e-6
 MIN_FORCED_PROBABILITY = 1e-12
 
-SQRT_HALF = np.sqrt(0.5)
+SQRT_HALF = math.sqrt(0.5)
 
 
 class ValidationError(ValueError):
@@ -39,13 +45,58 @@ class ImpossibleOutcomeError(ValueError):
     """A forced measurement outcome has (numerically) zero Born probability."""
 
 
-def _as_finite_complex(values, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.shape != shape:
-        raise ValidationError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValidationError(f"{what}: entries must be finite (no NaN/Inf)")
-    return arr
+def _shape(values) -> tuple[int, ...]:
+    """The shape of nested sequences, read along their first elements; () for a number."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__len__"):
+        return ()
+    return (len(values),) + (_shape(values[0]) if len(values) else ())
+
+
+def _as_finite_complex(values, shape: tuple[int, ...], what: str) -> tuple:
+    """``values`` as a tuple of complex, or for a 2-D ``shape`` a tuple of such rows."""
+    got = _shape(values)
+    if got != shape:
+        raise ValidationError(f"{what}: expected shape {shape}, got {got}")
+    try:
+        if len(shape) == 1:
+            entries = tuple(map(complex, values))
+        else:
+            entries = tuple(tuple(map(complex, row)) for row in values)
+    except TypeError:  # an entry that is itself a sequence
+        raise ValidationError(f"{what}: expected shape {shape}, got nested entries") from None
+    for row in entries if len(shape) == 2 else (entries,):
+        if len(row) != shape[-1]:
+            raise ValidationError(f"{what}: expected shape {shape}, got rows of other lengths")
+        for z in row:
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ValidationError(f"{what}: entries must be finite (no NaN/Inf)")
+    return entries
+
+
+def _norm2(values) -> float:
+    """sum |z|^2, one term at a time in order."""
+    total = 0.0
+    for z in values:
+        total += z.real * z.real + z.imag * z.imag
+    return total
+
+
+def _inner(u, v) -> complex:
+    """<u|v> = sum conj(u_i) v_i, one term at a time in order."""
+    total = 0j
+    for x, y in zip(u, v):
+        total += x.conjugate() * y
+    return total
+
+
+class Amplitudes(tuple):
+    """A state's amplitudes: a tuple of complex. ``tolist()`` returns them as a
+    list, as an array's does; the benchmark's output checks call it."""
+
+    __slots__ = ()
+
+    def tolist(self) -> list[complex]:
+        return list(self)
 
 
 class StateVector:
@@ -60,43 +111,39 @@ class StateVector:
     def __init__(self, num_qubits: int, amplitudes: Sequence[complex]):
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        arr = _as_finite_complex(amplitudes, (2**num_qubits,), "StateVector")
-        norm = float(np.linalg.norm(arr))
+        entries = _as_finite_complex(amplitudes, (2**num_qubits,), "StateVector")
+        norm = math.sqrt(_norm2(entries))
         if abs(norm - 1.0) > NORM_REPAIR_TOL:
             raise ValidationError(f"StateVector norm {norm} is not within {NORM_REPAIR_TOL} of 1")
-        arr /= norm
-        arr.flags.writeable = False
+        scale = 1.0 / norm
         self.num_qubits = num_qubits
-        self.amplitudes = arr
+        self.amplitudes = Amplitudes([z * scale for z in entries])
 
     @classmethod
-    def _wrap(cls, num_qubits: int, arr: np.ndarray) -> "StateVector":
+    def _wrap(cls, num_qubits: int, amplitudes) -> "StateVector":
         # Trusted arithmetic results: keep the exact bits, no renormalization.
         sv = cls.__new__(cls)
-        arr = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
-        assert arr.size == 2**num_qubits
-        # |norm^2 - 1| <= ~2|norm - 1| near 1; vdot avoids the norm() wrapper
-        assert abs(np.vdot(arr, arr).real - 1.0) <= 3 * NORM_REPAIR_TOL
-        arr.flags.writeable = False
+        amplitudes = Amplitudes(amplitudes)
+        assert len(amplitudes) == 2**num_qubits
+        # |norm^2 - 1| <= ~2|norm - 1| near 1
+        assert abs(_norm2(amplitudes) - 1.0) <= 3 * NORM_REPAIR_TOL
         sv.num_qubits = num_qubits
-        sv.amplitudes = arr
+        sv.amplitudes = amplitudes
         return sv
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.num_qubits == other.num_qubits and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
+        return self.num_qubits == other.num_qubits and self.amplitudes == other.amplitudes
 
     def __hash__(self):
-        return hash((self.num_qubits, self.amplitudes.tobytes()))
+        return hash((self.num_qubits, self.amplitudes))
 
     def __repr__(self) -> str:
-        return f"StateVector(num_qubits={self.num_qubits}, amplitudes={self.amplitudes.tolist()})"
+        return f"StateVector(num_qubits={self.num_qubits}, amplitudes={list(self.amplitudes)})"
 
 
-_EYE2 = np.eye(2, dtype=np.complex128)
+_EYE2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
 class Unitary2x2:
@@ -105,18 +152,22 @@ class Unitary2x2:
     __slots__ = ("matrix", "name")
 
     def __init__(self, matrix, name: str = "U"):
-        arr = _as_finite_complex(matrix, (2, 2), "Unitary2x2")
-        if not np.allclose(arr.conj().T @ arr, _EYE2, rtol=0.0, atol=ATOL_ALGEBRAIC):
-            raise ValidationError(f"matrix {arr.tolist()} is not unitary within {ATOL_ALGEBRAIC}")
-        arr.flags.writeable = False
-        self.matrix = arr
+        rows = _as_finite_complex(matrix, (2, 2), "Unitary2x2")
+        columns = tuple(zip(*rows))
+        for i, eye_row in enumerate(_EYE2):
+            for j, want in enumerate(eye_row):
+                if not abs(_inner(columns[i], columns[j]) - want) <= ATOL_ALGEBRAIC:
+                    raise ValidationError(
+                        f"matrix {[list(row) for row in rows]} is not unitary within {ATOL_ALGEBRAIC}"
+                    )
+        self.matrix = rows
         self.name = name
 
     def is_identity(self) -> bool:
-        return self is IDENTITY or np.array_equal(self.matrix, _EYE2)
+        return self is IDENTITY or self.matrix == _EYE2
 
     def __repr__(self) -> str:
-        return f"Unitary2x2({self.matrix.tolist()}, name={self.name!r})"
+        return f"Unitary2x2({[list(row) for row in self.matrix]}, name={self.name!r})"
 
 
 # The four local corrections appearing in the protocol, in ket-bra form:
@@ -137,16 +188,14 @@ class MeasurementBasis:
         v0 = _as_finite_complex(b0, (2,), "MeasurementBasis.b0")
         v1 = _as_finite_complex(b1, (2,), "MeasurementBasis.b1")
         for name, v in (("b0", v0), ("b1", v1)):
-            if abs(np.vdot(v, v).real - 1.0) > ATOL_ALGEBRAIC:
+            if abs(_norm2(v) - 1.0) > ATOL_ALGEBRAIC:
                 raise ValidationError(f"MeasurementBasis.{name} is not normalized")
-        if abs(np.vdot(v0, v1)) > ATOL_ALGEBRAIC:
+        if abs(_inner(v0, v1)) > ATOL_ALGEBRAIC:
             raise ValidationError("MeasurementBasis vectors are not orthogonal")
-        rows = np.stack((v0, v1)).conj()
-        for arr in (v0, v1, rows):
-            arr.flags.writeable = False
         self.b0 = v0
         self.b1 = v1
-        self.rows_conj = rows  # <b_k| as rows, precomputed for the hot path
+        # <b_k| as rows, precomputed for the hot path
+        self.rows_conj = tuple(tuple(z.conjugate() for z in v) for v in (v0, v1))
 
 
 COMPUTATIONAL = MeasurementBasis([1, 0], [0, 1])
@@ -159,39 +208,41 @@ class DensityMatrix:
     __slots__ = ("dim", "entries")
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "DensityMatrix":
-        # Trusted Gram-matrix results (m @ m†): Hermitian up to rounding and
-        # positive semidefinite by construction, so only the trace is checked.
+    def _wrap(cls, entries: tuple) -> "DensityMatrix":
+        # Trusted Gram-matrix results (m m†): Hermitian and positive
+        # semidefinite by construction, so only the trace is checked.
         dm = cls.__new__(cls)
-        assert abs(np.trace(arr).real - 1.0) <= ATOL_ACCUMULATED
-        arr.flags.writeable = False
-        dm.dim = arr.shape[0]
-        dm.entries = arr
+        trace = 0.0
+        for i, row in enumerate(entries):
+            trace += row[i].real
+        assert abs(trace - 1.0) <= ATOL_ACCUMULATED
+        dm.dim = len(entries)
+        dm.entries = entries
         return dm
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
-        return np.array_equal(self.entries, other.entries)
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries.tobytes())
+        return hash(self.entries)
 
     def __repr__(self) -> str:
-        return f"DensityMatrix({self.entries.tolist()})"
+        return f"DensityMatrix({[list(row) for row in self.entries]})"
 
+
+_S = complex(SQRT_HALF)
+_MINUS_S = complex(-SQRT_HALF)
 
 BELL_VECTORS = {
-    BellOutcome.PHI_PLUS: np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=np.complex128),
-    BellOutcome.PHI_MINUS: np.array([SQRT_HALF, 0, 0, -SQRT_HALF], dtype=np.complex128),
-    BellOutcome.PSI_PLUS: np.array([0, SQRT_HALF, SQRT_HALF, 0], dtype=np.complex128),
-    BellOutcome.PSI_MINUS: np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=np.complex128),
+    BellOutcome.PHI_PLUS: (_S, 0j, 0j, _S),
+    BellOutcome.PHI_MINUS: (_S, 0j, 0j, _MINUS_S),
+    BellOutcome.PSI_PLUS: (0j, _S, _S, 0j),
+    BellOutcome.PSI_MINUS: (0j, _S, _MINUS_S, 0j),
 }
-for _v in BELL_VECTORS.values():
-    _v.flags.writeable = False
 
-_BELL_ROWS_CONJ = np.stack([BELL_VECTORS[o] for o in BellOutcome]).conj()
-_BELL_ROWS_CONJ.flags.writeable = False
+_BELL_OUTCOMES = tuple(BellOutcome)
 
 
 class OutcomeSelector:
@@ -235,9 +286,36 @@ class ForcedSelector(OutcomeSelector):
         return self.index
 
 
+# --- index tables ------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _index_table(num_qubits: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Amplitude indices as a matrix: row r sets ``qubits`` to the bits of r,
+    column t sets the other qubits to the bits of t, each most significant
+    first. So column t lists the indices that ``qubits`` split, in the order
+    of their basis states, and the columns run in index order."""
+    others = [q for q in range(num_qubits) if q not in qubits]
+
+    def index(value: int, which) -> int:
+        bits = 0
+        for pos, q in enumerate(which):
+            if value >> (len(which) - 1 - pos) & 1:
+                bits |= 1 << (num_qubits - 1 - q)
+        return bits
+
+    return tuple(
+        tuple(index(r, qubits) | index(t, others) for t in range(1 << len(others)))
+        for r in range(1 << len(qubits))
+    )
+
+
+# --- kernels -----------------------------------------------------------------------
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product a ⊗ b with a's qubits more significant."""
-    combined = (a.amplitudes[:, None] * b.amplitudes[None, :]).reshape(-1)
+    combined = [x * y for x in a.amplitudes for y in b.amplitudes]
     return StateVector._wrap(a.num_qubits + b.num_qubits, combined)
 
 
@@ -255,31 +333,30 @@ def apply_single(state: StateVector, qubit: int, u: Unitary2x2) -> StateVector:
     _check_qubit(state, qubit)
     if u.is_identity():
         return state
-    n = state.num_qubits
-    # (blocks above qubit, qubit, blocks below): no axis moves needed
-    psi = state.amplitudes.reshape(2**qubit, 2, -1)
-    m = u.matrix
-    out = np.empty_like(psi)
-    out[:, 0, :] = m[0, 0] * psi[:, 0, :] + m[0, 1] * psi[:, 1, :]
-    out[:, 1, :] = m[1, 0] * psi[:, 0, :] + m[1, 1] * psi[:, 1, :]
-    return StateVector._wrap(n, out.reshape(-1))
+    a = state.amplitudes
+    (m00, m01), (m10, m11) = u.matrix
+    out = [0j] * len(a)
+    for i0, i1 in zip(*_index_table(state.num_qubits, (qubit,))):
+        x, y = a[i0], a[i1]
+        out[i0] = m00 * x + m01 * y
+        out[i1] = m10 * x + m11 * y
+    return StateVector._wrap(state.num_qubits, out)
 
 
 def _basis_components(state: StateVector, qubit: int, basis: MeasurementBasis):
-    """Per-outcome projection components, each shaped (blocks above, blocks below)."""
-    psi = state.amplitudes.reshape(2**qubit, 2, -1)
-    rows = basis.rows_conj
-    c0 = rows[0, 0] * psi[:, 0, :] + rows[0, 1] * psi[:, 1, :]
-    c1 = rows[1, 0] * psi[:, 0, :] + rows[1, 1] * psi[:, 1, :]
-    p0 = float(np.vdot(c0, c0).real)
-    p1 = float(np.vdot(c1, c1).real)
-    return (c0, c1), (p0, p1)
+    """Per-outcome projection components, one per index pair ``qubit`` splits."""
+    a = state.amplitudes
+    (r00, r01), (r10, r11) = basis.rows_conj
+    zeros, ones = table = _index_table(state.num_qubits, (qubit,))
+    c0 = [r00 * a[i0] + r01 * a[i1] for i0, i1 in zip(zeros, ones)]
+    c1 = [r10 * a[i0] + r11 * a[i1] for i0, i1 in zip(zeros, ones)]
+    return table, (c0, c1), (_norm2(c0), _norm2(c1))
 
 
 def basis_probabilities(state: StateVector, qubit: int, basis: MeasurementBasis) -> tuple[float, float]:
     """Born probabilities of outcomes 0 and 1 for a basis measurement of one qubit."""
     _check_qubit(state, qubit)
-    _, probabilities = _basis_components(state, qubit, basis)
+    _, _, probabilities = _basis_components(state, qubit, basis)
     return probabilities
 
 
@@ -292,43 +369,45 @@ def measure_in_basis(
     post-measurement state).
     """
     _check_qubit(state, qubit)
-    components, probabilities = _basis_components(state, qubit, basis)
+    table, components, probabilities = _basis_components(state, qubit, basis)
     k = selector.choose(list(probabilities))
     p = probabilities[k]
-    vector = basis.b0 if k == 0 else basis.b1
-    c = components[k] / np.sqrt(p)
-    post = np.empty((c.shape[0], 2, c.shape[1]), dtype=np.complex128)
-    post[:, 0, :] = vector[0] * c
-    post[:, 1, :] = vector[1] * c
-    return k, p, StateVector._wrap(state.num_qubits, post.reshape(-1))
+    v0, v1 = basis.b0 if k == 0 else basis.b1
+    scale = 1.0 / math.sqrt(p)
+    out = [0j] * len(state.amplitudes)
+    for i0, i1, c in zip(*table, components[k]):
+        c = c * scale
+        out[i0] = v0 * c
+        out[i1] = v1 * c
+    return k, p, StateVector._wrap(state.num_qubits, out)
 
 
 def _bell_components(state: StateVector, q1: int, q2: int):
-    """Projection components onto the four Bell vectors, one row per outcome.
-
-    The returned shape is None when (q1, q2) sit at the top of the register
-    already, meaning no axis moves are needed to rebuild a post state.
-    """
+    """Projection components onto the four Bell vectors, one list per outcome,
+    and their Born probabilities."""
     if q1 == q2:
         raise ValueError(f"q1 and q2 must differ, both are {q1}")
     _check_qubit(state, q1)
     _check_qubit(state, q2)
-    if (q1, q2) == (0, 1):
-        shape = None
-        flat = state.amplitudes.reshape(4, -1)
-    else:
-        psi = np.moveaxis(state.amplitudes.reshape([2] * state.num_qubits), (q1, q2), (0, 1))
-        shape = psi.shape
-        flat = psi.reshape(4, -1)
-    components = _BELL_ROWS_CONJ @ flat
-    probabilities = np.einsum("ij,ij->i", components, components.conj()).real
-    return shape, components, probabilities
+    a = state.amplitudes
+    table = _index_table(state.num_qubits, (q1, q2))
+    # <Phi±| = s(<00| ± <11|), <Psi±| = s(<01| ± <10|), unrolled.
+    s = _S
+    phi_plus, phi_minus, psi_plus, psi_minus = [], [], [], []
+    for i00, i01, i10, i11 in zip(*table):
+        x00, x01, x10, x11 = s * a[i00], s * a[i01], s * a[i10], s * a[i11]
+        phi_plus.append(x00 + x11)
+        phi_minus.append(x00 - x11)
+        psi_plus.append(x01 + x10)
+        psi_minus.append(x01 - x10)
+    components = (phi_plus, phi_minus, psi_plus, psi_minus)
+    return table, components, [_norm2(c) for c in components]
 
 
 def bell_probabilities(state: StateVector, q1: int, q2: int) -> dict[BellOutcome, float]:
     """Born probabilities of the four Bell outcomes on the (q1, q2) pair."""
     _, _, probabilities = _bell_components(state, q1, q2)
-    return {outcome: float(p) for outcome, p in zip(BellOutcome, probabilities)}
+    return dict(zip(_BELL_OUTCOMES, probabilities))
 
 
 def measure_bell(
@@ -340,15 +419,20 @@ def measure_bell(
     gate decomposition, so the result is directly the four-branch split of
     the input state.
     """
-    n = state.num_qubits
-    shape, components, probabilities = _bell_components(state, q1, q2)
-    k = selector.choose([float(p) for p in probabilities])
-    p = float(probabilities[k])
-    outcome = list(BellOutcome)[k]
-    post = BELL_VECTORS[outcome][:, None] * (components[k] / np.sqrt(p))[None, :]
-    if shape is not None:
-        post = np.moveaxis(post.reshape((2, 2) + shape[2:]), (0, 1), (q1, q2))
-    return outcome, p, StateVector._wrap(n, post.reshape(-1))
+    table, components, probabilities = _bell_components(state, q1, q2)
+    k = selector.choose(probabilities)
+    p = probabilities[k]
+    outcome = _BELL_OUTCOMES[k]
+    v00, v01, v10, v11 = BELL_VECTORS[outcome]
+    scale = 1.0 / math.sqrt(p)
+    out = [0j] * len(state.amplitudes)
+    for i00, i01, i10, i11, c in zip(*table, components[k]):
+        c = c * scale
+        out[i00] = v00 * c
+        out[i01] = v01 * c
+        out[i10] = v10 * c
+        out[i11] = v11 * c
+    return outcome, p, StateVector._wrap(state.num_qubits, out)
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -358,11 +442,18 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep set must be non-empty")
     for q in kept:
         _check_qubit(state, q)
-    n = state.num_qubits
-    traced = [q for q in range(n) if q not in kept]
-    psi = state.amplitudes.reshape([2] * n).transpose(kept + traced)
-    m = psi.reshape(2 ** len(kept), 2 ** len(traced))
-    return DensityMatrix._wrap(m @ m.conj().T)
+    a = state.amplitudes
+    m = [[a[i] for i in row] for row in _index_table(state.num_qubits, tuple(kept))]
+    rho = []  # m m†
+    for row in m:
+        rho_row = []
+        for other in m:
+            total = 0j
+            for x, y in zip(row, other):
+                total += x * y.conjugate()
+            rho_row.append(total)
+        rho.append(tuple(rho_row))
+    return DensityMatrix._wrap(tuple(rho))
 
 
 def fidelity_pure(rho: DensityMatrix, psi: StateVector) -> float:
@@ -370,7 +461,13 @@ def fidelity_pure(rho: DensityMatrix, psi: StateVector) -> float:
     if rho.dim != 2**psi.num_qubits:
         raise ValueError(f"dimension mismatch: rho is {rho.dim}, psi is {2**psi.num_qubits}")
     v = psi.amplitudes
-    return float(np.vdot(v, rho.entries @ v).real)
+    total = 0j
+    for x, row in zip(v, rho.entries):
+        w = 0j
+        for entry, y in zip(row, v):
+            w += entry * y
+        total += x.conjugate() * w
+    return total.real
 
 
 def pure_state_from_density(rho: DensityMatrix) -> StateVector:
@@ -378,10 +475,16 @@ def pure_state_from_density(rho: DensityMatrix) -> StateVector:
 
     Raises ValidationError when the matrix is not pure within ATOL_ACCUMULATED.
     """
-    purity = float(np.trace(rho.entries @ rho.entries).real)
+    e = rho.entries
+    purity = 0.0  # trace(rho rho), one diagonal entry at a time
+    for r, row in enumerate(e):
+        diagonal = 0j
+        for c, x in enumerate(row):
+            diagonal += x * e[c][r]
+        purity += diagonal.real
     if abs(purity - 1.0) > ATOL_ACCUMULATED:
         raise ValidationError(f"density matrix has purity {purity}, not a pure state")
-    diag = rho.entries.diagonal().real
-    j = int(np.argmax(diag))
-    column = rho.entries[:, j] / np.sqrt(diag[j])
-    return StateVector._wrap(rho.dim.bit_length() - 1, column)
+    diag = [row[i].real for i, row in enumerate(e)]
+    j = diag.index(max(diag))
+    scale = 1.0 / math.sqrt(diag[j])
+    return StateVector._wrap(rho.dim.bit_length() - 1, [row[j] * scale for row in e])

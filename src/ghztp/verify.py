@@ -56,9 +56,9 @@ def hermitian_max_eigenvalue_2x2(rho: DensityMatrix) -> float:
     """
     if rho.dim != 2:
         raise ValueError(f"closed form applies to 2x2 matrices, got dim {rho.dim}")
-    a = rho.entries[0, 0].real
-    d = rho.entries[1, 1].real
-    b = rho.entries[0, 1]
+    a = rho.entries[0][0].real
+    d = rho.entries[1][1].real
+    b = rho.entries[0][1]
     return ((a + d) + math.sqrt((a - d) ** 2 + 4.0 * abs(b) ** 2)) / 2.0
 
 
@@ -183,7 +183,7 @@ def security_sweep(samples: int, seed: int) -> SweepSummary:
         p1 = abs(signal.beta) ** 2
         excess = report.unitary_bound - max(p0, p1)
         fid_dev = abs(report.raw_fidelity - (p0 * p0 + p1 * p1))
-        off_diag = abs(report.rho_bob.entries[0, 1])
+        off_diag = abs(report.rho_bob.entries[0][1])
         min_excess = min(min_excess, excess)
         max_excess = max(max_excess, excess)
         max_fid_dev = max(max_fid_dev, fid_dev)

@@ -3,9 +3,9 @@ names of the corrections each outcome calls for, and the one schedule of
 moves that the protocol engine, the party scripts and the stall names read.
 
 This is everything a party exchanges with the coordinator, and nothing here
-imports numpy, so a party process stays small. :mod:`ghztp.qsim` and
-:mod:`ghztp.protocol` re-export these names and bind each correction name to
-its matrix.
+imports the simulator, ``dataclasses`` or ``typing``, so a party process
+stays small. :mod:`ghztp.qsim` and :mod:`ghztp.protocol` re-export these
+names and bind each correction name to its matrix.
 """
 
 from __future__ import annotations

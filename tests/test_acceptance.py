@@ -114,8 +114,8 @@ def test_criterion_4_security_bound_before_charlie_cooperates():
             signal = random_signal(rng)
             report = bob_view_before_charlie(signal, bells[i % 4])
             entries = report.rho_bob.entries
-            assert abs(entries[0, 1]) <= 1e-12
-            assert abs(entries[1, 0]) <= 1e-12
+            assert abs(entries[0][1]) <= 1e-12
+            assert abs(entries[1][0]) <= 1e-12
             a2 = abs(signal.alpha) ** 2
             b2 = abs(signal.beta) ** 2
             assert abs(report.raw_fidelity - (a2 * a2 + b2 * b2)) <= 1e-10
@@ -156,7 +156,8 @@ def test_criterion_6_substrate_sanity():
         unitaries = [u for pair in BELL_CORRECTION_TABLE.values() for u in pair]
         unitaries += list(CHARLIE_CORRECTION_TABLE.values())
         for unitary in unitaries:
-            gram = unitary.matrix.conj().T @ unitary.matrix
+            matrix = np.asarray(unitary.matrix)
+            gram = matrix.conj().T @ matrix
             assert np.abs(gram - np.eye(2)).max() <= 1e-12
 
         rng = np.random.default_rng(1006)

@@ -94,6 +94,7 @@ def test_run_json_round_trips_and_matches_in_process_result(capsys):
          "--force-bell", "PhiPlus", "--force-charlie", "Plus"],
         ["stats", "--runs", "0"],
         ["security", "--sweep", "0"],
+        ["security", "--sweep", "10", "--alpha", "5", "0", "--beta", "0", "0"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -3,6 +3,10 @@
 These pin what the protocol engine writes and samples, byte for byte, so a
 change to how the engine orders or checks moves cannot shift a trace line or
 a sampled count unnoticed. Never edit a value here to let a change pass.
+
+The simulator computes in plain double arithmetic, in one fixed order and
+without numpy or a BLAS library, so these values no longer depend on the
+host's CPU or math libraries.
 """
 
 import json
@@ -25,7 +29,7 @@ ALL_IDENTITY_TRACE = [
     "CharlieMeasured outcome=Plus probability=0.5000000000000001",
     "Classical seq=2 sender=charlie recipients=bob payload=Plus",
     "BobCorrected unitary=I",
-    "Finished fidelity=1.0000000000000004",
+    "Finished fidelity=1.0000000000000002",
 ]
 
 ALL_CORRECTION_TRACE = [
@@ -38,7 +42,7 @@ ALL_CORRECTION_TRACE = [
     "CharlieMeasured outcome=Minus probability=0.5000000000000001",
     "Classical seq=2 sender=charlie recipients=bob payload=Minus",
     "BobCorrected unitary=Z",
-    "Finished fidelity=1.0000000000000004",
+    "Finished fidelity=1.0000000000000002",
 ]
 
 # `ghztp stats --runs 2000 --seed 3`: the four Bell counts, then Charlie's two.

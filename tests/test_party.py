@@ -61,7 +61,7 @@ def imported_by_ghztp(importtime_log: str) -> set[str]:
 
 
 def test_every_name_the_package_exports_resolves():
-    # The numpy-backed names are bound on first use, so a stale entry would
+    # The simulator-backed names are bound on first use, so a stale entry would
     # otherwise fail only when someone uses it.
     for name in ghztp.__all__:
         assert getattr(ghztp, name) is not None, name
@@ -110,6 +110,21 @@ def test_ghztp_in_a_spawned_party_imports_no_numpy_dataclasses_or_typing(tmp_pat
         assert not unwanted, (role, sorted(unwanted))
         # Not even the idna codec when it connects.
         assert not imported_modules(log) & IDNA, (role, sorted(imported_modules(log) & IDNA))
+
+
+def test_the_cli_harness_and_verify_run_a_session_without_numpy():
+    # The simulator runs on Python complex numbers; numpy is for the tests only.
+    script = (
+        "import ghztp.cli, ghztp.netharness, ghztp.verify\n"
+        "from ghztp.protocol import SignalState, run_protocol\n"
+        "assert run_protocol(SignalState(0.6, 0.8), seed=1).fidelity > 0.99\n"
+    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    modules = imported_modules(proc.stderr)
+    assert "ghztp.qsim" in modules  # the log was read
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
 
 
 class Script:

@@ -146,8 +146,8 @@ def test_corrections_in_the_trace_match_the_published_tables(signal, bell, charl
 @given(signals(), st.sampled_from(list(BellOutcome)))
 def test_bob_alone_sees_a_diagonal_mixture(signal, bell):
     report = bob_view_before_charlie(signal, bell)
-    assert abs(report.rho_bob.entries[0, 1]) <= 1e-12
-    assert abs(report.rho_bob.entries[1, 0]) <= 1e-12
+    assert abs(report.rho_bob.entries[0][1]) <= 1e-12
+    assert abs(report.rho_bob.entries[1][0]) <= 1e-12
     a2 = abs(signal.alpha) ** 2
     b2 = abs(signal.beta) ** 2
     assert abs(report.raw_fidelity - (a2 * a2 + b2 * b2)) <= 1e-10

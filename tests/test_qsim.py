@@ -75,9 +75,18 @@ def test_constructor_rejects_nonfinite_and_bad_shape():
         StateVector(2, [1.0, 0.0])
 
 
+def test_ragged_or_nested_input_is_rejected():
+    with pytest.raises(ValueError):
+        StateVector(1, [1.0, [0.0]])
+    with pytest.raises(ValueError):
+        Unitary2x2([[1, 0], [0]])
+    with pytest.raises(ValueError):
+        MeasurementBasis([1, 0], [[0, 1]])
+
+
 def test_amplitudes_are_read_only():
     sv = StateVector(2, [1, 0, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         sv.amplitudes[0] = 0.0
 
 
@@ -93,12 +102,13 @@ def test_equality_is_exact_bits():
 
 def test_named_unitaries_are_unitary():
     for name, u in NAMED_UNITARIES.items():
-        product = u.matrix.conj().T @ u.matrix
+        matrix = np.asarray(u.matrix)
+        product = matrix.conj().T @ matrix
         assert np.allclose(product, np.eye(2), atol=ATOL_ALGEBRAIC), name
 
 
 def test_zx_is_z_after_x():
-    assert np.array_equal(ZX.matrix, PAULI_Z.matrix @ PAULI_X.matrix)
+    assert np.array_equal(ZX.matrix, np.asarray(PAULI_Z.matrix) @ np.asarray(PAULI_X.matrix))
 
 
 def test_non_unitary_matrix_rejected():
@@ -171,7 +181,7 @@ def test_measure_in_basis_projects_and_renormalizes():
         # Repeating the same measurement is now deterministic.
         repeat = basis_probabilities(post, 0, COMPUTATIONAL)
         assert repeat[forced] == pytest.approx(1.0, abs=ATOL_ACCUMULATED)
-        born = abs(sv.amplitudes) ** 2
+        born = abs(np.asarray(sv.amplitudes)) ** 2
         want = born[0b10] + born[0b11] if forced else born[0b00] + born[0b01]
         assert p == pytest.approx(want, abs=ATOL_ALGEBRAIC)
 

@@ -142,8 +142,8 @@ def test_rho_bob_is_diagonal_for_every_branch_and_signal():
         signal = random_signal(rng)
         for bell in BellOutcome:
             report = bob_view_before_charlie(signal, bell)
-            assert abs(report.rho_bob.entries[0, 1]) < 1e-12
-            assert abs(report.rho_bob.entries[1, 0]) < 1e-12
+            assert abs(report.rho_bob.entries[0][1]) < 1e-12
+            assert abs(report.rho_bob.entries[1][0]) < 1e-12
 
 
 def test_bound_below_one_for_non_basis_signals_and_one_after_cooperation():
