@@ -22,10 +22,12 @@ holds and retries. So for a given (signal, seed) the networked transcript is
 the in-process trace, minus the identity corrections that never cross the
 wire, byte for byte.
 
-One thread serves a session: a ``selectors`` loop over the listening socket
-and every party's connection, which handles one message at a time. Shutdown
-wakes that loop, joins it, and closes the listener and every connection at
-once, with no poll to wait out.
+One loop serves a session: a ``selectors`` loop over the listening socket
+and every party's connection, which handles one message at a time. It runs
+on the calling thread under :meth:`Coordinator.serve` and ``orchestrate``,
+and on a thread of its own after :meth:`Coordinator.start`. Shutdown wakes
+and joins that thread, if any, and closes the listener and every connection
+at once, with no poll to wait out.
 
 ``orchestrate`` names a session that stopped short from the coordinator's
 state (see :func:`infer_stall`), never from the transcript's text.
@@ -171,7 +173,8 @@ class Coordinator:
     session's state, due moves and trace, and admits moves only in the
     in-process order; the coordinator adds what the network needs: locality,
     relaying, the transcript, and holding a request the engine calls NotYet
-    until it is due or its deadline passes. One thread serves the session: it
+    until it is due or its deadline passes. One loop serves the session, on
+    the caller's thread (:meth:`serve`) or on its own (:meth:`start`): it
     accepts the parties and handles every message of every connection, one at
     a time, so the transcript is a total order consistent with each
     connection's send order. Every message ends in :meth:`_answer`, which
@@ -223,7 +226,7 @@ class Coordinator:
         self._poller = selectors.DefaultSelector()
         self._poller.register(self._listener, selectors.EVENT_READ)
         self._poller.register(self._wake, selectors.EVENT_READ)
-        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -232,6 +235,8 @@ class Coordinator:
         return self._listener.getsockname()[1]
 
     def start(self) -> None:
+        """Serve on a thread of its own until :meth:`stop`."""
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -240,7 +245,7 @@ class Coordinator:
     def stop(self) -> None:
         """Stop the loop: nothing more is read or written, and every
         connection stays open until :meth:`shutdown`."""
-        if self._thread.is_alive():
+        if self._thread is not None and self._thread.is_alive():
             self._waker.send(b"\0")
             self._thread.join()
 
@@ -260,22 +265,28 @@ class Coordinator:
         self._transcript.close()
 
     def serve(self, timeout: float | None = None) -> bool:
-        """Run until the session completes or the timeout elapses."""
-        self.start()
+        """Serve on this thread until the session completes or the timeout
+        elapses, then shut down; returns whether the session completed."""
         try:
-            return self.wait(timeout)
+            return self._serve(time.monotonic() + (self.timeout if timeout is None else timeout))
         finally:
             self.shutdown()
 
     # -- the loop ---------------------------------------------------------------
 
-    def _serve(self) -> None:
-        while True:
-            held = self._held
-            timeout = None if held is None else max(0.0, held.deadline - time.monotonic())
-            for key, _ in self._poller.select(timeout):
+    def _serve(self, deadline: float | None = None) -> bool:
+        """Handle what the parties send until :meth:`stop` wakes the loop or,
+        given a ``deadline``, until the session is done or the deadline
+        passes. Returns whether the session is done."""
+        while deadline is None or not self._done.is_set():
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                return False
+            held_until = None if self._held is None else self._held.deadline
+            until = min((t for t in (deadline, held_until) if t is not None), default=None)
+            for key, _ in self._poller.select(None if until is None else max(0.0, until - now)):
                 if key.fileobj is self._wake:
-                    return
+                    return self._done.is_set()
                 if key.fileobj is self._listener:
                     self._accept()
                 else:
@@ -283,6 +294,7 @@ class Coordinator:
             self._settle()
             while self._ready:
                 self._process(self._ready.popleft())
+        return True
 
     def _accept(self) -> None:
         try:
@@ -623,16 +635,19 @@ def _spawn(roles, config: PartyConfig) -> dict:
     """Fork one party per role; returns ``{pid: (role, stderr file)}``.
 
     Each party's stderr goes to its own unlinked file, so a flood never
-    blocks it. If a fork fails, the parties already forked are ended and
-    reaped, and an OSError names the role that could not be forked.
+    blocks it. Every file is made before the first fork, so the forks follow
+    one another. If a fork fails, the files of the parties not forked are
+    closed, the parties already forked are ended and reaped, and an OSError
+    names the role that could not be forked.
     """
+    files = [(role, tempfile.TemporaryFile()) for role in roles]
     parties = {}
-    for role in roles:
-        stderr = tempfile.TemporaryFile()
+    for index, (role, stderr) in enumerate(files):
         try:
             pid = os.fork()
         except OSError as exc:
-            stderr.close()
+            for _, unused in files[index:]:
+                unused.close()
             _terminate(parties, 0.0, config.timeout)
             raise OSError(f"cannot fork party {role.value}: {exc}") from exc
         if pid == 0:
@@ -655,7 +670,6 @@ def _party_child(role: Role, config: PartyConfig, stderr: int):
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdout = open(1, "w")
         sys.stderr = open(2, "w", buffering=1, errors="backslashreplace")
         code = party.play(role, config)  # looked up here, so a test can patch it
     except BaseException:
@@ -727,15 +741,19 @@ def orchestrate(
     and stderr tail go into the report. With ``drop`` set, that party joins
     and then goes silent at its scripted step; the session must then stall
     instead of finishing.
+
+    The caller's own work overlaps the parties' start and exit: it forks
+    them first, runs the reference while they start, serves the session on
+    the calling thread, and compares the transcript before it reaps them.
     """
-    reference = run_protocol(signal, seed=seed)
     directory = Path(transcript_dir) if transcript_dir else Path(tempfile.mkdtemp(prefix="ghztp-"))
     directory.mkdir(parents=True, exist_ok=True)
     transcript = directory / "net-transcript.log"
 
     def failed(problem: str) -> ComparisonReport:
         return ComparisonReport(match=False, problems=[problem],
-                                reference_fidelity=reference.fidelity, transcript=str(transcript))
+                                reference_fidelity=run_protocol(signal, seed=seed).fidelity,
+                                transcript=str(transcript))
 
     try:
         coordinator = Coordinator(signal, seed, transcript, host, port, timeout)
@@ -749,27 +767,29 @@ def orchestrate(
     # coordinator gives up on a stalled session before they do.
     deadline = time.monotonic() + timeout
     try:
-        # Forked before the serving thread starts, so this process has one
-        # thread to fork; a party that connects early waits in the backlog.
+        # Forked while this process has one thread; a party that connects
+        # before the loop runs waits in the listener's backlog.
         parties = _spawn(Role, config)
     except OSError as exc:
         coordinator.shutdown()
         return failed(str(exc))
     done = False
     try:
-        coordinator.start()
-        done = coordinator.wait(deadline - time.monotonic())
+        reference = run_protocol(signal, seed=seed)  # while the parties start
+        done = coordinator._serve(deadline)
+        # The loop has stopped: the session's transcript and state are final,
+        # and the parties of a finished session exit meanwhile.
+        _, events = read_transcript(transcript)
+        stall = infer_stall(coordinator.session, coordinator.helloed)
+        unfinished = frozenset(Role) - coordinator.finished
+        report = compare_transcript(reference, events, stall, unfinished)
     finally:
         # Parties of a finished session are on their way out: let them exit.
         # After a stall the ones still waiting are killed on open connections,
         # which the stopped coordinator neither reads nor writes about.
-        coordinator.stop()
         reaped = _terminate(parties, timeout if done else 0.0, timeout)
         coordinator.shutdown()
 
-    _, events = read_transcript(transcript)
-    stall = infer_stall(coordinator.session, coordinator.helloed)
-    report = compare_transcript(reference, events, stall, frozenset(Role) - coordinator.finished)
     report.transcript = str(transcript)
     # Only a failed party whose move the session stalled at can say why; the
     # others were still waiting.

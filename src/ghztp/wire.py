@@ -40,15 +40,18 @@ class Kind(Enum):
 WireMessage = namedtuple("WireMessage", "seq session_id kind body")
 
 
+# What json.dumps(obj, separators=(",", ":")) uses, made once rather than per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode(message: WireMessage) -> bytes:
-    line = json.dumps(
+    line = _COMPACT.encode(
         {
             "seq": message.seq,
             "session_id": message.session_id,
             "kind": message.kind.value,
             "body": message.body,
-        },
-        separators=(",", ":"),
+        }
     )
     data = line.encode("utf-8") + b"\n"
     if len(data) > MAX_LINE_BYTES:

@@ -2,10 +2,16 @@
 
 import json
 import os
+import re
 import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from ghztp import netharness
 from ghztp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONNECTION,
@@ -331,6 +337,74 @@ def test_net_orchestrate_json_report(capsys, tmp_path):
     assert body["match"] is True
     assert body["problems"] == []
     assert body["net_fidelity"] == body["reference_fidelity"]
+
+
+SRC = Path(netharness.__file__).resolve().parent.parent
+
+
+def start_serve(transcript, *argv):
+    """``ghztp net serve`` in a process of its own, past its READY line;
+    returns the process and the port it serves on."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "ghztp", "net", "serve", "--alpha", "0.6", "0", "--beta", "0.8", "0",
+         "--transcript", str(transcript), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    ready = serve.stdout.readline()
+    match = re.fullmatch(r"READY port=(\d+)\n", ready)
+    assert match, (ready, serve.stderr.read() if serve.poll() is not None else "")
+    return serve, int(match.group(1))
+
+
+def play_parties(port: int, stop_before: dict) -> dict:
+    """``ghztp net party`` for each role at once, each in a thread of this
+    process; returns each role's exit code."""
+    codes = {}
+
+    def party(role):
+        extra = ["--stop-before", stop_before[role]] if role in stop_before else []
+        codes[role] = main(["net", "party", "--role", role, "--port", str(port),
+                            "--timeout", "10", *extra])
+
+    threads = [threading.Thread(target=party, args=(role,)) for role in ("alice", "bob", "charlie")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(20)
+    return codes
+
+
+def test_net_serve_completes_a_session_the_in_process_run_predicts(capsys, tmp_path):
+    transcript = tmp_path / "t.log"
+    serve, port = start_serve(transcript, "--seed", "0", "--timeout", "10")
+    try:
+        codes = play_parties(port, {})
+        out, err = serve.communicate(timeout=20)
+    finally:
+        serve.kill()
+    assert codes == {"alice": 0, "bob": 0, "charlie": 0}
+    assert (serve.returncode, out, err) == (EXIT_OK, "DONE\n", "")
+    meta, events = netharness.read_transcript(transcript)
+    assert meta[-1] == "session complete"
+    reference = run_protocol(SignalState(0.6, 0.8), seed=0)
+    assert [netharness.event_line(e) for e in events] == [
+        netharness.event_line(e) for e in netharness._networked(reference)
+    ]
+
+
+def test_net_serve_reports_a_stalled_session(capsys, tmp_path):
+    transcript = tmp_path / "t.log"
+    serve, port = start_serve(transcript, "--seed", "0", "--timeout", "1")
+    try:
+        codes = play_parties(port, {"charlie": "measure"})
+        out, err = serve.communicate(timeout=20)
+    finally:
+        serve.kill()
+    assert codes["charlie"] == EXIT_OK  # silent from his measurement on
+    assert (serve.returncode, out, err) == (EXIT_STALLED, "STALLED\n", "")
+    assert transcript.read_text().endswith("# session incomplete\n")
 
 
 def test_net_serve_on_an_occupied_port_exits_4(capsys, tmp_path):

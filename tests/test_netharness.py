@@ -902,6 +902,16 @@ def test_orchestrate_matches_bitwise_for_a_tiny_negative_amplitude(tmp_path, mon
                             r"timeout=10\.0, stop_before=None\)", stderr), stderr
 
 
+def test_orchestrate_serves_on_the_calling_thread(tmp_path, monkeypatch):
+    def no_thread(thread):
+        raise AssertionError(f"orchestrate started a thread: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    report = orchestrate(SIGNAL, seed=0, timeout=10.0, transcript_dir=tmp_path)
+    assert report.match, report.problems
+    assert report.net_fidelity == report.reference_fidelity
+
+
 def test_orchestrate_on_an_occupied_port_reports_that_the_coordinator_failed(tmp_path):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -912,6 +922,7 @@ def test_orchestrate_on_an_occupied_port_reports_that_the_coordinator_failed(tmp
     (problem,) = report.problems
     assert problem.startswith("coordinator failed to start:") and "cannot bind" in problem
     assert report.stalled_at is None
+    assert report.reference_fidelity == run_protocol(SIGNAL, seed=0).fidelity
 
 
 def test_a_transcript_that_cannot_be_opened_releases_the_port(tmp_path):
@@ -935,6 +946,7 @@ def test_orchestrate_names_a_transcript_it_cannot_open(tmp_path):
     assert not report.match
     (problem,) = report.problems
     assert problem.startswith(f"coordinator failed to start: cannot open transcript {transcript}: ")
+    assert report.reference_fidelity == run_protocol(SIGNAL, seed=0).fidelity
 
 
 # The real play, which a patched one may call.
@@ -1041,12 +1053,21 @@ def assert_reaped(pids) -> None:
             os.kill(pid, 0)
 
 
+def open_descriptors() -> set[str] | None:
+    """This process's open descriptors, where /proc lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 def test_a_fork_that_fails_part_way_leaves_no_process(tmp_path, monkeypatch, capsys):
     pids = recording_fork(monkeypatch, fail_on=2)
+    before = open_descriptors()
     report = orchestrate(SIGNAL, seed=0, timeout=5.0, transcript_dir=tmp_path)
 
     assert report.problems == [f"cannot fork party bob: {FORK_ERROR}"]
     assert (report.match, report.stalled_at, report.parties) == (False, None, {})
+    assert report.reference_fidelity == run_protocol(SIGNAL, seed=0).fidelity
+    # Every stderr file was closed, Bob's and Charlie's made for forks that never came too.
+    assert open_descriptors() == before
     assert len(pids) == 1  # Alice's
     assert_reaped(pids)
     # The coordinator was shut down: its transcript is closed.

@@ -7,15 +7,24 @@ as missing per-layer metrics.
 import importlib
 from pathlib import Path
 
+import pytest
+
+from ghztp import netharness
 from ghztp.netharness import Coordinator
+from ghztp.protocol import SignalState
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_the_bench_tracer_installs_on_every_name_it_wraps_and_uninstalls(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """The bench's ``layers`` and ``spans`` modules."""
     monkeypatch.syspath_prepend(str(BENCH))
-    layers = importlib.import_module("layers")
-    spans = importlib.import_module("spans")
+    return importlib.import_module("layers"), importlib.import_module("spans")
+
+
+def test_the_bench_tracer_installs_on_every_name_it_wraps_and_uninstalls(bench):
+    layers, spans = bench
     original = Coordinator.op_request
     tracer = spans.Tracer()
     try:
@@ -24,3 +33,26 @@ def test_the_bench_tracer_installs_on_every_name_it_wraps_and_uninstalls(monkeyp
     finally:
         tracer.uninstall()
     assert Coordinator.op_request is original
+
+
+def test_a_traced_orchestrate_session_records_its_layers_in_order(bench, tmp_path):
+    layers, spans = bench
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        report = netharness.orchestrate(SignalState(0.6, 0.8), seed=0, timeout=10.0,
+                                        transcript_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    assert report.match, report.problems
+
+    def span(name):
+        (found,) = [s for s in tracer.spans if s.name == name]
+        return found
+
+    spawn, terminate = span("netharness._spawn"), span("netharness._terminate")
+    # The caller's own work falls while the parties run: after the forks, before the reaping.
+    for name in ("protocol.run_protocol", "netharness.compare_transcript"):
+        assert spawn.end <= span(name).start <= span(name).end <= terminate.start, name
+    assert {"netharness.orchestrate.reference_ms", "netharness.orchestrate.children_ms",
+            "netharness.orchestrate.compare_ms"} <= set(layers.per_layer(tracer.spans, []))

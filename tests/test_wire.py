@@ -33,6 +33,28 @@ def test_encode_is_one_compact_json_line():
     assert list(obj) == ["seq", "session_id", "kind", "body"]
 
 
+@pytest.mark.parametrize("message, expected", [
+    pytest.param(WireMessage(1, "", Kind.HELLO, {"role": "alice"}),
+                 b'{"seq":1,"session_id":"","kind":"Hello","body":{"role":"alice"}}\n', id="hello"),
+    pytest.param(WireMessage(4, "0123abcd4567", Kind.OP_RESULT,
+                             {"op": "basis_measure", "outcome": "Plus",
+                              "probability": 0.49999999999999994}),
+                 b'{"seq":4,"session_id":"0123abcd4567","kind":"OpResult",'
+                 b'"body":{"op":"basis_measure","outcome":"Plus",'
+                 b'"probability":0.49999999999999994}}\n',
+                 id="op-result"),
+    pytest.param(WireMessage(2, "s", Kind.ERROR,
+                             {"code": "ERR_FRAME", "message": "r\u00f4le \u2192 \U0001d400"}),
+                 b'{"seq":2,"session_id":"s","kind":"Error",'
+                 b'"body":{"code":"ERR_FRAME","message":"r\\u00f4le \\u2192 \\ud835\\udc00"}}\n',
+                 id="non-ascii"),
+])
+def test_encode_gives_exactly_the_bytes_of_compact_json_dumps(message, expected):
+    obj = {"seq": message.seq, "session_id": message.session_id,
+           "kind": message.kind.value, "body": message.body}
+    assert encode(message) == expected == json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+
+
 def test_encode_rejects_oversize_message():
     big = {"blob": "x" * MAX_LINE_BYTES}
     with pytest.raises(FrameError):
